@@ -5,17 +5,15 @@
 // cheap per-query completeness decisions (RCDP strong/viable, ground MINP,
 // and the PTIME IND RCQP of Corollary 7.2). The same request stream is
 // answered several ways:
-//   cold    — independent decider calls on the raw setting (the pre-engine
+//   cold    — independent decider calls on the raw setting (the pre-service
 //             call pattern): every request re-derives the Adom seed (a scan
 //             and sort of all |Dm| constants) and re-projects the masters;
-//   warm    — SubmitBatch through the CompletenessEngine adapter over a
+//   warm    — SubmitBatch through the CompletenessService over a
 //             PreparedSetting built once, memoization off: the prepared-
-//             artifact savings plus the (near-zero) adapter overhead;
-//   memo    — the same with the LRU cache on: repeated queries collapse to
-//             fingerprint lookups (the serving-traffic regime);
-//   service — the CompletenessService called directly (single-setting batch
-//             and the async-futures path), to show the multi-setting
-//             front door costs nothing over the adapter.
+//             artifact savings plus the service's admission overhead;
+//   memo    — the same with the shard cache on: repeated queries collapse
+//             to fingerprint lookups (the serving-traffic regime);
+//   async   — the async-futures path, and a batch spanning two settings.
 // warm must beat cold at every master size, and the gap must widen with
 // |Dm|; memo sits another order of magnitude above.
 #include <benchmark/benchmark.h>
@@ -28,11 +26,13 @@
 #include <string>
 #include <vector>
 
-#include "engine/engine.h"
+#include "bench_util.h"
 #include "service/service.h"
 
 namespace relcomp {
 namespace {
+
+using bench::ForSetting;
 
 Value S(const std::string& s) { return Value::Sym(s); }
 
@@ -115,41 +115,6 @@ void BM_Cold_IndependentCalls(benchmark::State& state) {
 }
 BENCHMARK(BM_Cold_IndependentCalls)->Arg(256)->Arg(2048)->Arg(8192);
 
-void RunEngineBatch(benchmark::State& state, size_t cache_capacity) {
-  PartiallyClosedSetting setting =
-      MakeAuditSetting(static_cast<int>(state.range(0)));
-  CInstance audited = MakeAuditedInstance(setting.schema);
-  std::vector<DecisionRequest> workload =
-      MakeWorkload(audited, kDistinctQueries, /*repeat=*/1);
-  EngineOptions options;
-  options.num_workers = 4;
-  options.cache_capacity = cache_capacity;
-  options.memoize = cache_capacity > 0;
-  auto engine = CompletenessEngine::Create(setting, options);
-  if (!engine.ok()) {
-    state.SkipWithError(engine.status().ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    std::vector<Decision> decisions = (*engine)->SubmitBatch(workload);
-    benchmark::DoNotOptimize(decisions);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(workload.size()));
-  state.counters["cache_hits"] =
-      static_cast<double>((*engine)->counters().cache_hits);
-}
-
-void BM_Engine_WarmBatch(benchmark::State& state) {
-  RunEngineBatch(state, /*cache_capacity=*/0);
-}
-BENCHMARK(BM_Engine_WarmBatch)->Arg(256)->Arg(2048)->Arg(8192);
-
-void BM_Engine_MemoizedBatch(benchmark::State& state) {
-  RunEngineBatch(state, /*cache_capacity=*/1024);
-}
-BENCHMARK(BM_Engine_MemoizedBatch)->Arg(256)->Arg(2048)->Arg(8192);
-
 void RunServiceBatch(benchmark::State& state, size_t cache_capacity,
                      bool metrics = true) {
   PartiallyClosedSetting setting =
@@ -160,7 +125,6 @@ void RunServiceBatch(benchmark::State& state, size_t cache_capacity,
   ServiceOptions options;
   options.num_workers = 4;
   options.cache_capacity = cache_capacity;
-  options.memoize = cache_capacity > 0;
   options.metrics = metrics;
   CompletenessService service(options);
   Result<SettingHandle> handle = service.RegisterSetting(setting);
@@ -168,8 +132,9 @@ void RunServiceBatch(benchmark::State& state, size_t cache_capacity,
     state.SkipWithError(handle.status().ToString().c_str());
     return;
   }
+  const std::vector<ServiceRequest> batch = ForSetting(*handle, workload);
   for (auto _ : state) {
-    std::vector<Decision> decisions = service.SubmitBatch(*handle, workload);
+    std::vector<Decision> decisions = service.SubmitBatch(batch);
     benchmark::DoNotOptimize(decisions);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -282,7 +247,6 @@ void RunContendedTwoTenants(benchmark::State& state,
   ServiceOptions options;
   options.num_workers = 1;  // forces queueing: the contention under test
   options.cache_capacity = 0;
-  options.memoize = false;
   options.policy = policy;
   CompletenessService service(options);
   ShardOptions heavy_opts;
@@ -391,7 +355,6 @@ void RunDeadlineShedLatency(benchmark::State& state,
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;  // aborted runs are never cached anyway
-  options.memoize = false;
   CompletenessService service(options);
   Result<SettingHandle> handle = service.RegisterSetting(setting);
   if (!handle.ok()) {
@@ -457,7 +420,7 @@ void RunWarmStartFirstBatch(benchmark::State& state, bool restored) {
       state.SkipWithError(handle.status().ToString().c_str());
       return;
     }
-    warmer.SubmitBatch(*handle, workload);
+    warmer.SubmitBatch(ForSetting(*handle, workload));
     Status saved = warmer.SaveCaches(snapshot_path);
     if (!saved.ok()) {
       state.SkipWithError(saved.ToString().c_str());
@@ -480,7 +443,8 @@ void RunWarmStartFirstBatch(benchmark::State& state, bool restored) {
       state.SkipWithError(handle.status().ToString().c_str());
       return;
     }
-    std::vector<Decision> decisions = service.SubmitBatch(*handle, workload);
+    std::vector<Decision> decisions =
+        service.SubmitBatch(ForSetting(*handle, workload));
     benchmark::DoNotOptimize(decisions);
     misses = service.TotalCounters().cache_misses;
   }

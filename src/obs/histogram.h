@@ -65,8 +65,10 @@ struct HistogramData {
 
 /// The live recording surface: fixed-size atomic buckets, relaxed
 /// increments, wait-free for writers. Snapshot() produces a HistogramData
-/// (readers racing writers see a consistent-enough view: each field is
-/// individually atomic; cross-field skew is at most the records in flight).
+/// whose count is the sum of the buckets it read, so count and buckets
+/// always agree (quantile ranks stay reachable, and the Prometheus +Inf
+/// bucket equals _count); sum and max may skew from them by the records in
+/// flight.
 class Histogram {
  public:
   Histogram() = default;
@@ -76,7 +78,6 @@ class Histogram {
   void Record(uint64_t value) {
     buckets_[HistogramData::BucketIndex(value)].fetch_add(
         1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
     uint64_t seen = max_.load(std::memory_order_relaxed);
     while (value > seen &&
@@ -89,7 +90,6 @@ class Histogram {
 
  private:
   std::array<std::atomic<uint64_t>, HistogramData::kNumBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
 };

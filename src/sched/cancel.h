@@ -93,10 +93,10 @@ class CancelSource {
   std::shared_ptr<FlagState> state_;
 };
 
-/// Joint interest in one shared computation (a coalesced flight group or a
-/// deduplicated batch slot group). Participants register their tokens with
-/// Add; token() observes the group rule: cancelled only when the group has
-/// at least one participant and EVERY participant's token is cancelled.
+/// Joint interest in one shared computation (a coalesced flight group).
+/// Participants register their tokens with Add; token() observes the group
+/// rule: cancelled only when the group has at least one participant and
+/// EVERY participant's token is cancelled.
 /// Adding an invalid token pins the group live forever (that participant
 /// can never withdraw its interest), and participants may keep joining
 /// while the computation runs — a late joiner revives a group whose earlier
@@ -136,7 +136,7 @@ class CancelGroup {
 
     bool cancelled() const override {
       // Poll OUTSIDE the lock, over a snapshot: a member may itself be
-      // another group's token (batch slot groups join flight groups), and
+      // another group's token (a submission may carry one), and
       // polling it under this group's mutex would nest two same-rank
       // mutexes. A participant Add racing the poll lands as if it joined
       // just after the snapshot — indistinguishable, under the old

@@ -56,12 +56,11 @@ Decision RejectedDecision() {
   return decision;
 }
 
-/// Whether a decision was shed by the scheduler rather than evaluated —
-/// batch duplicates of a shed primary mirror its scheduling fate in the
-/// counters instead of counting as cache hits. Mid-run aborts carry the
-/// same codes, so an aborted primary's duplicates mirror the abort too.
-bool IsShedDecision(const Decision& decision) {
-  switch (decision.status.code()) {
+/// Whether a decision was shed by the scheduler or aborted mid-run rather
+/// than answered — the members sharing it mirror its fate in the counters
+/// instead of counting as cache hits.
+bool IsShedStatus(const Status& status) {
+  switch (status.code()) {
     case StatusCode::kCancelled:
     case StatusCode::kDeadlineExceeded:
     case StatusCode::kUnavailable:
@@ -83,57 +82,25 @@ bool IsAbortStatus(const Status& status) {
 /// and a decider's own step-budget exhaustion — must never be replayed
 /// from the cache as if they were answers.
 bool IsCacheableDecision(const Decision& decision) {
-  switch (decision.status.code()) {
-    case StatusCode::kResourceExhausted:
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kCancelled:
-    case StatusCode::kUnavailable:
-      return false;
-    default:
-      return true;
-  }
+  return !IsShedStatus(decision.status) &&
+         decision.status.code() != StatusCode::kResourceExhausted;
 }
 
-/// Files one request under the partition bucket matching an abort status
-/// (kCancelled → cancelled, kDeadlineExceeded → expired). The ONE place
-/// that owns the mapping — every abort-accounting site goes through it so
-/// the requests == hits+misses+rejected+expired+cancelled invariant cannot
-/// drift between them. Requires the shard mutex.
-void CountAbortBucketLocked(EngineCounters& counters, const Status& status) {
-  if (status.code() == StatusCode::kCancelled) {
-    ++counters.cancelled;
-  } else {
-    ++counters.expired;
-  }
-}
-
-/// Re-files an evaluation that aborted mid-run: the claim-time cache miss
-/// becomes the matching abort bucket, and the wasted search work becomes
-/// visible as shed_running / aborted_steps. Requires the shard mutex.
-void ReclassifyAbortLocked(EngineCounters& counters, const Decision& decision) {
-  --counters.cache_misses;
-  CountAbortBucketLocked(counters, decision.status);
-  ++counters.shed_running;
-  counters.aborted_steps += decision.stats.TotalSteps();
-}
-
-/// Counter bucket for one batch duplicate mirroring `primary`. Requires the
-/// shard mutex.
-void CountDuplicateLocked(EngineCounters& counters, const Decision& primary) {
-  ++counters.requests;
-  switch (primary.status.code()) {
+/// Files one request under the partition bucket matching a shed or abort
+/// status (kCancelled → cancelled, kDeadlineExceeded → expired,
+/// kUnavailable → rejected). The ONE place that owns the mapping, so the
+/// requests == hits+misses+rejected+expired+cancelled invariant cannot
+/// drift between sites. Requires the shard mutex.
+void CountShedLocked(EngineCounters& counters, const Status& status) {
+  switch (status.code()) {
     case StatusCode::kCancelled:
       ++counters.cancelled;
       break;
     case StatusCode::kDeadlineExceeded:
       ++counters.expired;
       break;
-    case StatusCode::kUnavailable:
-      ++counters.rejected;
-      break;
     default:
-      ++counters.cache_hits;
-      ++counters.coalesced;
+      ++counters.rejected;
       break;
   }
 }
@@ -143,7 +110,7 @@ void CountDuplicateLocked(EngineCounters& counters, const Decision& primary) {
 /// shard mutex.
 void CountWaitLocked(EngineCounters& counters, std::chrono::microseconds wait,
                      obs::Histogram* histogram) {
-  if (wait.count() < 0) return;  // never queued (inline or rejected)
+  if (wait.count() < 0) return;  // never queued (refused by the queue)
   ++counters.waited;
   const uint64_t micros = static_cast<uint64_t>(wait.count());
   counters.wait_micros += micros;
@@ -151,33 +118,11 @@ void CountWaitLocked(EngineCounters& counters, std::chrono::microseconds wait,
   if (histogram != nullptr) histogram->Record(micros);
 }
 
-/// RAII +1/-1 on a (possibly null) gauge — the in-flight request count
-/// survives every early return of the decide paths.
-class GaugeGuard {
- public:
-  explicit GaugeGuard(obs::Gauge* gauge) : gauge_(gauge) {
-    if (gauge_ != nullptr) gauge_->Add(1);
-  }
-  ~GaugeGuard() {
-    if (gauge_ != nullptr) gauge_->Add(-1);
-  }
-  GaugeGuard(const GaugeGuard&) = delete;
-  GaugeGuard& operator=(const GaugeGuard&) = delete;
-
- private:
-  obs::Gauge* gauge_;
-};
-
 /// The trace outcome tag of a finished decision: the verdict for served
 /// answers, the status code for everything else.
 std::string TraceOutcome(const Decision& decision) {
   if (decision.status.ok()) return decision.answer ? "YES" : "no";
   return StatusCodeName(decision.status.code());
-}
-
-sched::TaskOutcome InlineOutcome(const sched::Task& task) {
-  return task.deadline < sched::Clock::now() ? sched::TaskOutcome::kExpired
-                                             : sched::TaskOutcome::kRun;
 }
 
 }  // namespace
@@ -268,10 +213,6 @@ Result<SettingHandle> CompletenessService::RegisterSetting(
   if (resolved.cache_capacity == ShardOptions::kInherit) {
     resolved.cache_capacity = options_.cache_capacity;
   }
-  // The resolved options report the EFFECTIVE capacity: memoization off
-  // service-wide means every shard's cache is capacity 0, and
-  // shard_options() must say so rather than echo a capacity no cache has.
-  if (!options_.memoize) resolved.cache_capacity = 0;
   if (resolved.max_queue == ShardOptions::kInherit) {
     resolved.max_queue = options_.default_max_queue;
   }
@@ -393,22 +334,6 @@ void CompletenessService::InitShardMetrics(Shard& shard, uint64_t handle_id) {
   shard.cache->AttachEvents(sink);
 }
 
-void CompletenessService::CountAdmission(const Shard& shard,
-                                         const DecisionRequest& request,
-                                         const sched::SchedParams* sched) {
-  const size_t kind = static_cast<size_t>(request.kind);
-  if (kind < shard.metrics.by_kind.size() &&
-      shard.metrics.by_kind[kind] != nullptr) {
-    shard.metrics.by_kind[kind]->Inc();
-  }
-  const size_t priority = static_cast<size_t>(
-      sched != nullptr ? sched->priority : sched::Priority::kNormal);
-  if (priority < shard.metrics.by_priority.size() &&
-      shard.metrics.by_priority[priority] != nullptr) {
-    shard.metrics.by_priority[priority]->Inc();
-  }
-}
-
 void CompletenessService::FinishRequest(Shard* shard,
                                         const std::shared_ptr<obs::Trace>& trace,
                                         sched::TimePoint submit,
@@ -420,6 +345,7 @@ void CompletenessService::FinishRequest(Shard* shard,
   const uint64_t micros =
       elapsed.count() > 0 ? static_cast<uint64_t>(elapsed.count()) : 0;
   decision->latency_micros = micros;
+  if (shard != nullptr && inflight_gauge_ != nullptr) inflight_gauge_->Add(-1);
   if (shard != nullptr && shard->metrics.e2e_latency != nullptr) {
     shard->metrics.e2e_latency->Record(micros);
   }
@@ -453,15 +379,6 @@ void CompletenessService::FinishRequest(Shard* shard,
   }
 }
 
-void CompletenessService::ResolveMember(FlightGroup::Member& member,
-                                        Decision decision) {
-  if (member.promise != nullptr) {
-    member.promise->set_value(std::move(decision));
-  } else if (member.callback) {
-    member.callback(std::move(decision));
-  }
-}
-
 Result<PreparedSetting> CompletenessService::prepared(
     SettingHandle handle) const {
   std::shared_ptr<Shard> shard = FindShard(handle);
@@ -481,24 +398,6 @@ Result<uint64_t> CompletenessService::FingerprintRequest(
   std::shared_ptr<Shard> shard = FindShard(handle);
   if (shard == nullptr) return UnknownHandleDecision(handle).status;
   return RequestKeyFor(shard->prepared, request).primary;
-}
-
-SearchOptions CompletenessService::EffectiveOptions(
-    const Shard& shard, const DecisionRequest& request,
-    const sched::SchedParams* sched) {
-  SearchOptions effective = request.options;
-  if (shard.options.max_steps != 0 &&
-      effective.max_steps == SearchOptions::kDefaultMaxSteps) {
-    effective.max_steps = shard.options.max_steps;
-  }
-  if (sched != nullptr) {
-    effective.deadline = std::min(effective.deadline, sched->deadline);
-    // Either-cancels: the request's own token keeps working alongside the
-    // submission's (group composite for scheduled batch work).
-    effective.cancel =
-        sched::CancelToken::AnyOf(effective.cancel, sched->cancel);
-  }
-  return effective;
 }
 
 Decision CompletenessService::RunEvaluation(
@@ -578,153 +477,6 @@ void CompletenessService::RecordSearchProfile(const Shard& shard,
   }
 }
 
-Decision CompletenessService::DecideOnShard(
-    Shard& shard, const DecisionRequest& request,
-    const RequestCacheKey* precomputed, const sched::SchedParams* sched,
-    bool count_request, const std::shared_ptr<obs::Trace>& trace) {
-  GaugeGuard in_flight(inflight_gauge_);
-  // Cooperative shed points for synchronous evaluation: a request already
-  // cancelled or past its deadline never reaches the decider.
-  if (sched != nullptr) {
-    if (sched->cancel.cancelled()) {
-      if (trace != nullptr) {
-        trace->Phase("shed");
-        trace->AnnotatePhase("cancelled before evaluation");
-      }
-      MutexLock lock(shard.mu);
-      if (count_request) ++shard.counters.requests;
-      ++shard.counters.cancelled;
-      return CancelledDecision();
-    }
-    if (sched->deadline < sched::Clock::now()) {
-      if (trace != nullptr) {
-        trace->Phase("shed");
-        trace->AnnotatePhase("deadline passed while queued");
-      }
-      MutexLock lock(shard.mu);
-      if (count_request) ++shard.counters.requests;
-      ++shard.counters.expired;
-      return ExpiredDecision();
-    }
-  }
-  const bool memoize = options_.memoize && shard.cache->capacity() > 0;
-  const bool coalesce = options_.coalesce;
-  RequestCacheKey key;
-  if (memoize || coalesce) {
-    key = precomputed != nullptr ? *precomputed
-                                 : RequestKeyFor(shard.prepared, request);
-  }
-  if (trace != nullptr && (memoize || coalesce)) trace->Phase("cache-lookup");
-  std::shared_ptr<FlightGroup> joined;
-  std::shared_ptr<FlightGroup> owned;
-  uint64_t joined_run_id = 0;
-  bool joined_run_traced = false;
-  {
-    MutexLock lock(shard.mu);
-    if (count_request) ++shard.counters.requests;
-    if (memoize) {
-      Decision hit;
-      if (shard.cache->Get(key, &hit)) {
-        ++shard.counters.cache_hits;
-        hit.from_cache = true;
-        if (trace != nullptr) trace->AnnotatePhase("hit");
-        return hit;
-      }
-    }
-    if (coalesce) {
-      // Whatever role this caller ends up in, it is one more participant
-      // whose interest keeps the (possibly already running) computation
-      // alive — a caller without a token pins it forever — and whose
-      // deadline extends the run's shared deadline (none lifts it).
-      const sched::CancelToken participant =
-          sched != nullptr ? sched->cancel : sched::CancelToken{};
-      const sched::TimePoint participant_deadline =
-          sched != nullptr ? sched->deadline : sched::kNoDeadline;
-      auto it = shard.in_flight.find(key);
-      if (it != shard.in_flight.end() && it->second->started) {
-        // Live evaluation on another thread: wait on its shared future.
-        ++shard.counters.cache_hits;
-        ++shard.counters.coalesced;
-        joined = it->second;
-        joined->interest.Add(participant);
-        ExtendRunDeadline(*joined, participant_deadline);
-        if (joined->run_trace != nullptr) {
-          joined_run_traced = true;
-          joined_run_id = joined->run_trace->id();
-        }
-      } else if (it != shard.in_flight.end()) {
-        // The group is parked — its owner task is still in the queue. A
-        // synchronous caller must never block on parked work (with every
-        // worker blocked that way the pool would wedge), so it steals the
-        // evaluation; the owner task will find started == true and yield.
-        owned = it->second;
-        owned->started = true;
-        owned->interest.Add(participant);
-        ExtendRunDeadline(*owned, participant_deadline);
-        if (trace != nullptr) owned->run_trace = trace;
-        ++shard.counters.cache_misses;
-      } else {
-        owned = std::make_shared<FlightGroup>();
-        owned->started = true;
-        owned->interest.Add(participant);
-        ExtendRunDeadline(*owned, participant_deadline);
-        owned->future = std::make_shared<std::shared_future<Decision>>(
-            owned->sync_promise.get_future().share());
-        if (trace != nullptr) owned->run_trace = trace;
-        shard.in_flight.emplace(key, owned);
-        ++shard.counters.cache_misses;
-      }
-    } else {
-      ++shard.counters.cache_misses;
-    }
-  }
-  if (joined != nullptr) {
-    if (trace != nullptr) {
-      trace->Phase("coalesce-join");
-      trace->AnnotatePhase(joined_run_traced
-                               ? "joined run trace#" +
-                                     std::to_string(joined_run_id)
-                               : "joined in-flight run");
-    }
-    // The computation is live on the claiming thread (never parked on the
-    // queue), so this wait always makes progress.
-    Decision decision = joined->future->get();
-    if (IsAbortStatus(decision.status)) {
-      // The run this caller piggy-backed on was aborted mid-evaluation:
-      // re-file the join-time hit under the abort's bucket instead.
-      MutexLock lock(shard.mu);
-      --shard.counters.cache_hits;
-      --shard.counters.coalesced;
-      CountAbortBucketLocked(shard.counters, decision.status);
-      return decision;
-    }
-    decision.from_cache = true;
-    AppendNote(&decision, "coalesced with identical in-flight request");
-    return decision;
-  }
-  if (owned == nullptr) {
-    // Coalescing off: plain cache-through evaluation under the merged
-    // budget / deadline / token.
-    SearchOptions effective = EffectiveOptions(shard, request, sched);
-    Decision decision = RunEvaluation(shard, request, &effective, trace);
-    const bool aborted = IsAbortStatus(decision.status);
-    MutexLock lock(shard.mu);
-    shard.counters.search += decision.stats;
-    if (!decision.status.ok() && !aborted) ++shard.counters.errors;
-    if (aborted) ReclassifyAbortLocked(shard.counters, decision);
-    if (memoize && IsCacheableDecision(decision)) {
-      const bool admitted = shard.cache->Put(key, decision);
-      if (trace != nullptr) {
-        trace->AnnotatePhase(admitted ? "admitted" : "admission rejected");
-      }
-    } else if (trace != nullptr) {
-      trace->AnnotatePhase(memoize ? "not cacheable" : "memoization off");
-    }
-    return decision;
-  }
-  return EvaluateForGroup(shard, request, key, owned, kSyncBilled);
-}
-
 void CompletenessService::ExtendRunDeadline(FlightGroup& group,
                                             sched::TimePoint deadline) {
   const sched::Clock::rep candidate = deadline.time_since_epoch().count();
@@ -735,34 +487,132 @@ void CompletenessService::ExtendRunDeadline(FlightGroup& group,
   }
 }
 
-Decision CompletenessService::EvaluateForGroup(
+CompletenessService::Admission CompletenessService::Admit(
+    Shard& shard, const DecisionRequest& request,
+    const sched::SchedParams& sched, sched::TimePoint submit,
+    std::function<void(Decision, bool)> deliver, bool claim,
+    RequestCacheKey* key, std::shared_ptr<FlightGroup>* group) {
+  const size_t kind = static_cast<size_t>(request.kind);
+  if (kind < shard.metrics.by_kind.size() &&
+      shard.metrics.by_kind[kind] != nullptr) {
+    shard.metrics.by_kind[kind]->Inc();
+  }
+  const size_t priority = static_cast<size_t>(sched.priority);
+  if (priority < shard.metrics.by_priority.size() &&
+      shard.metrics.by_priority[priority] != nullptr) {
+    shard.metrics.by_priority[priority]->Inc();
+  }
+  if (inflight_gauge_ != nullptr) inflight_gauge_->Add(1);  // -1 at delivery
+
+  FlightGroup::Member member;
+  member.cancel =
+      sched::CancelToken::AnyOf(request.options.cancel, sched.cancel);
+  member.deadline = sched.deadline;
+  member.deliver = std::move(deliver);
+  member.submit = submit;
+  member.trace = tracer_.MaybeTrace(submit);
+  obs::Trace* trace = member.trace.get();
+  if (trace != nullptr) trace->Phase("admit", submit);
+
+  // Dead requests never reach the cache, the in-flight table or the queue.
+  const bool cancelled = member.cancel.cancelled();
+  const bool shed = cancelled || member.deadline < sched::Clock::now();
+  Decision served;
+  if (shed) {
+    served = cancelled ? CancelledDecision() : ExpiredDecision();
+    if (trace != nullptr) {
+      trace->Phase("shed");
+      trace->AnnotatePhase(cancelled ? "cancelled at admission"
+                                     : "deadline passed at admission");
+    }
+  } else {
+    *key = RequestKeyFor(shard.prepared, request);
+    if (trace != nullptr) trace->Phase("cache-lookup");
+  }
+  {
+    MutexLock lock(shard.mu);
+    ++shard.counters.requests;
+    if (shed) {
+      ++(cancelled ? shard.counters.cancelled : shard.counters.expired);
+    } else if (shard.cache->capacity() > 0 &&
+               shard.cache->Get(*key, &served)) {
+      ++shard.counters.cache_hits;
+      served.from_cache = true;
+      if (trace != nullptr) trace->AnnotatePhase("hit");
+    } else {
+      auto [it, created] = shard.in_flight.try_emplace(*key);
+      if (created) it->second = std::make_shared<FlightGroup>();
+      FlightGroup& flight = *it->second;
+      // Whatever its role, the member's token keeps the (possibly already
+      // running) computation alive, and its deadline extends the run's.
+      flight.interest.Add(member.cancel);
+      ExtendRunDeadline(flight, member.deadline);
+      Admission admission;
+      if (claim && !flight.started) {
+        flight.started = true;
+        flight.billed = flight.members.size();
+        flight.run_trace = member.trace;
+        ++shard.counters.cache_misses;
+        admission = Admission::kClaimed;
+      } else if (created) {
+        if (trace != nullptr) trace->Phase("queue");
+        admission = Admission::kParked;
+      } else {
+        if (trace != nullptr) {
+          trace->Phase("coalesce-join");
+          trace->AnnotatePhase(flight.run_trace != nullptr
+                                   ? "joined run trace#" +
+                                         std::to_string(flight.run_trace->id())
+                                   : "joined in-flight run");
+        }
+        admission = Admission::kJoined;
+      }
+      flight.members.push_back(std::move(member));
+      *group = it->second;
+      return admission;
+    }
+  }
+  DeliverMember(shard, member, std::move(served),
+                ProblemKindName(request.kind), /*sole=*/false);
+  return Admission::kServed;
+}
+
+void CompletenessService::EvaluateForGroup(
     Shard& shard, const DecisionRequest& request, const RequestCacheKey& key,
-    const std::shared_ptr<FlightGroup>& group, size_t billed_member) {
-  const bool memoize = options_.memoize && shard.cache->capacity() > 0;
-  // The run's trace (the claiming caller's, or an async member's chosen at
-  // claim time). Written under the shard mutex by the thread that set
-  // `started`, which is this thread — reading it here is race-free.
+    const std::shared_ptr<FlightGroup>& group) {
+  // Written under the shard mutex by the claim on this thread.
   const std::shared_ptr<obs::Trace>& trace = group->run_trace;
-  SearchOptions effective = EffectiveOptions(shard, request, nullptr);
+  SearchOptions effective = request.options;
+  if (shard.options.max_steps != 0 &&
+      effective.max_steps == SearchOptions::kDefaultMaxSteps) {
+    effective.max_steps = shard.options.max_steps;
+  }
   // The joint interest token and the extendable run deadline: checkpoints
-  // abort this run only once EVERY participant — including ones that join
-  // mid-run — has cancelled, and only past the LATEST deadline among them
-  // (re-read each poll, so a late deadline-less joiner lifts the bound).
-  // Every participant was recorded at its join site; the group outlives
-  // the evaluation (the caller holds the shared_ptr), so the pointer into
-  // it stays valid for the whole search.
+  // abort this run only once EVERY member — including ones that join
+  // mid-run — has cancelled, and only past the LATEST deadline among them.
+  // The group outlives the evaluation (the caller holds the shared_ptr).
   effective.cancel = group->interest.token();
   effective.shared_deadline = &group->run_deadline;
   Decision decision = RunEvaluation(shard, request, &effective, trace);
   const bool aborted = IsAbortStatus(decision.status);
+  const bool memoize = shard.cache->capacity() > 0;
+  // The request may die with its last member's delivery.
+  const char* kind = ProblemKindName(request.kind);
 
-  std::vector<FlightGroup::Member> members;
-  std::vector<bool> member_cancelled;
+  std::vector<Delivery> deliveries;
   {
     MutexLock lock(shard.mu);
     shard.counters.search += decision.stats;
-    if (!decision.status.ok() && !aborted) ++shard.counters.errors;
-    if (aborted) ReclassifyAbortLocked(shard.counters, decision);
+    if (aborted) {
+      // The claim-time miss becomes the abort's bucket; the wasted search
+      // work shows as shed_running / aborted_steps.
+      --shard.counters.cache_misses;
+      CountShedLocked(shard.counters, decision.status);
+      ++shard.counters.shed_running;
+      shard.counters.aborted_steps += decision.stats.TotalSteps();
+    } else if (!decision.status.ok()) {
+      ++shard.counters.errors;
+    }
     if (memoize && IsCacheableDecision(decision)) {
       const bool admitted = shard.cache->Put(key, decision);
       if (trace != nullptr) {
@@ -771,81 +621,123 @@ Decision CompletenessService::EvaluateForGroup(
     } else if (trace != nullptr) {
       trace->AnnotatePhase(memoize ? "not cacheable" : "memoization off");
     }
-    shard.in_flight.erase(key);
-    members = std::move(group->members);
-    group->members.clear();
-    // Classify each async member while the counters are consistent with
-    // the cancellation snapshot (a token flipping after this point is too
-    // late: the result is already being published). Members of an aborted
-    // run mirror the abort's bucket — they were never served an answer, so
-    // they must not count as cache hits.
-    member_cancelled.reserve(members.size());
-    for (size_t i = 0; i < members.size(); ++i) {
-      const bool cancelled =
-          i != billed_member && members[i].cancel.cancelled();
-      member_cancelled.push_back(cancelled);
-      if (i == billed_member) continue;  // charged as the evaluation miss
-      if (cancelled) {
-        ++shard.counters.cancelled;
-      } else if (aborted) {
-        CountAbortBucketLocked(shard.counters, decision.status);
-      } else {
-        ++shard.counters.cache_hits;
-        ++shard.counters.coalesced;
-      }
-    }
+    // Retired in the same critical section as the insert: later arrivals
+    // hit the cache instead.
+    deliveries = RetireGroupLocked(shard, key, *group, decision);
   }
-  // Publish after the slot is gone: late arrivals hit the LRU instead.
-  // Promises and callbacks resolve outside the shard lock — callbacks may
-  // re-enter the service.
-  group->sync_promise.set_value(decision);
-  for (size_t i = 0; i < members.size(); ++i) {
-    Decision member_decision;
-    if (member_cancelled[i]) {
-      member_decision = CancelledDecision();
-    } else {
-      member_decision = decision;
-      if (i != billed_member && !aborted) {
-        member_decision.from_cache = true;
-        AppendNote(&member_decision, "coalesced with identical in-flight request");
-      }
-    }
-    FinishRequest(&shard, members[i].trace, members[i].submit,
-                  &member_decision, ProblemKindName(request.kind));
-    ResolveMember(members[i], std::move(member_decision));
-  }
-  return decision;
+  DeliverMembers(shard, std::move(deliveries), kind, /*shed=*/false);
 }
 
-void CompletenessService::ShedGroup(Shard& shard, const RequestCacheKey& key,
-                                    const std::shared_ptr<FlightGroup>& group,
-                                    const char* kind) {
-  const Decision shed = RejectedDecision();
-  std::vector<FlightGroup::Member> members;
-  std::vector<bool> member_cancelled;
+std::vector<CompletenessService::Delivery>
+CompletenessService::RetireGroupLocked(Shard& shard, const RequestCacheKey& key,
+                                       FlightGroup& group,
+                                       const Decision& outcome) {
+  shard.in_flight.erase(key);
+  std::vector<Delivery> deliveries;
+  deliveries.reserve(group.members.size());
+  for (size_t i = 0; i < group.members.size(); ++i) {
+    FlightGroup::Member& member = group.members[i];
+    Decision decision;
+    if (i == group.billed) {
+      decision = outcome;  // charged at claim time
+    } else if (member.cancel.cancelled()) {
+      ++shard.counters.cancelled;
+      decision = CancelledDecision();
+    } else if (IsShedStatus(outcome.status)) {
+      CountShedLocked(shard.counters, outcome.status);
+      decision = outcome;
+    } else {
+      ++shard.counters.cache_hits;
+      ++shard.counters.coalesced;
+      decision = outcome;
+      decision.from_cache = true;
+      AppendNote(&decision, "coalesced with identical in-flight request");
+    }
+    deliveries.push_back(Delivery{std::move(member), std::move(decision)});
+  }
+  group.members.clear();
+  return deliveries;
+}
+
+void CompletenessService::DeliverMember(Shard& shard,
+                                        FlightGroup::Member& member,
+                                        Decision decision, const char* kind,
+                                        bool sole) {
+  FinishRequest(&shard, member.trace, member.submit, &decision, kind);
+  member.deliver(std::move(decision), sole);
+}
+
+void CompletenessService::DeliverMembers(Shard& shard,
+                                         std::vector<Delivery> deliveries,
+                                         const char* kind, bool shed) {
+  const bool sole = deliveries.size() == 1;
+  for (Delivery& delivery : deliveries) {
+    if (shed && delivery.member.trace != nullptr) {
+      delivery.member.trace->Phase("shed");
+    }
+    DeliverMember(shard, delivery.member, std::move(delivery.decision), kind,
+                  sole);
+  }
+}
+
+void CompletenessService::ScheduleGroup(
+    const std::shared_ptr<Shard>& shard, const RequestCacheKey& key,
+    const std::shared_ptr<FlightGroup>& group,
+    std::shared_ptr<const DecisionRequest> request,
+    const sched::SchedParams& sched) {
+  sched::Task task;
+  task.tenant = shard->id;
+  task.priority = sched.priority;
+  task.deadline = sched.deadline;
+  task.fn = [this, shard, key, group, request = std::move(request)](
+                sched::TaskOutcome outcome, std::chrono::microseconds wait) {
+    RunOwnerTask(*shard, key, group, request, outcome, wait);
+  };
+  if (!queue_.Push(std::move(task))) {
+    task.fn(sched::TaskOutcome::kRejected, sched::kNotQueued);
+  }
+}
+
+void CompletenessService::RunOwnerTask(
+    Shard& shard, const RequestCacheKey& key,
+    const std::shared_ptr<FlightGroup>& group,
+    const std::shared_ptr<const DecisionRequest>& request,
+    sched::TaskOutcome outcome, std::chrono::microseconds wait) {
+  std::vector<Delivery> shed;
   {
     MutexLock lock(shard.mu);
-    if (group->started) return;  // a sync caller stole it; it will publish
-    shard.in_flight.erase(key);
-    members = std::move(group->members);
-    group->members.clear();
-    member_cancelled.reserve(members.size());
-    for (const FlightGroup::Member& member : members) {
-      const bool cancelled = member.cancel.cancelled();
-      member_cancelled.push_back(cancelled);
-      if (cancelled) {
-        ++shard.counters.cancelled;
-      } else {
-        ++shard.counters.rejected;
+    CountWaitLocked(shard.counters, wait, shard.metrics.queue_wait);
+    if (group->started) return;  // a blocking caller stole it; it publishes
+    group->started = true;
+    if (outcome == sched::TaskOutcome::kRejected) {
+      shed = RetireGroupLocked(shard, key, *group, RejectedDecision());
+    } else {
+      // Only a live member keeps the computation alive: a group whose
+      // every member has cancelled or expired is shed before evaluation.
+      const sched::TimePoint now = sched::Clock::now();
+      for (size_t i = 0; i < group->members.size(); ++i) {
+        const FlightGroup::Member& m = group->members[i];
+        if (!m.cancel.cancelled() && m.deadline >= now) {
+          group->billed = i;
+          // Its trace becomes the run's: the timeline gains the evaluate /
+          // cache-store phases, and later joiners note which run they
+          // piggy-backed on.
+          group->run_trace = m.trace;
+          ++shard.counters.cache_misses;
+          break;
+        }
+      }
+      if (group->billed == FlightGroup::kNotBilled) {
+        shed = RetireGroupLocked(shard, key, *group, ExpiredDecision());
       }
     }
   }
-  group->sync_promise.set_value(shed);  // parked ⇒ no sync waiters listen
-  for (size_t i = 0; i < members.size(); ++i) {
-    Decision decision = member_cancelled[i] ? CancelledDecision() : shed;
-    if (members[i].trace != nullptr) members[i].trace->Phase("shed");
-    FinishRequest(&shard, members[i].trace, members[i].submit, &decision, kind);
-    ResolveMember(members[i], std::move(decision));
+  // Claimed, so the request is still alive: no member was delivered yet.
+  if (group->billed == FlightGroup::kNotBilled) {
+    DeliverMembers(shard, std::move(shed), ProblemKindName(request->kind),
+                   /*shed=*/true);
+  } else {
+    EvaluateForGroup(shard, *request, key, group);
   }
 }
 
@@ -853,64 +745,94 @@ Decision CompletenessService::Decide(const ServiceRequest& request) {
   const sched::TimePoint submit = sched::Clock::now();
   std::shared_ptr<Shard> shard = FindShard(request.setting);
   if (shard == nullptr) return UnknownHandleDecision(request.setting);
-  CountAdmission(*shard, request.request, &request.sched);
-  std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-  if (trace != nullptr) trace->Phase("admit", submit);
-  Decision decision =
-      DecideOnShard(*shard, request.request, nullptr, &request.sched,
-                    /*count_request=*/true, trace);
-  FinishRequest(shard.get(), trace, submit, &decision,
-                ProblemKindName(request.request.kind));
-  return decision;
-}
-
-Decision CompletenessService::Decide(SettingHandle handle,
-                                     const DecisionRequest& request) {
-  const sched::TimePoint submit = sched::Clock::now();
-  std::shared_ptr<Shard> shard = FindShard(handle);
-  if (shard == nullptr) return UnknownHandleDecision(handle);
-  CountAdmission(*shard, request, nullptr);
-  std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-  if (trace != nullptr) trace->Phase("admit", submit);
-  Decision decision = DecideOnShard(*shard, request, nullptr, nullptr,
-                                    /*count_request=*/true, trace);
-  FinishRequest(shard.get(), trace, submit, &decision,
-                ProblemKindName(request.kind));
-  return decision;
-}
-
-std::vector<CompletenessService::RoutedRequest> CompletenessService::RouteBatch(
-    const std::vector<ServiceRequest>& requests) {
-  std::vector<RoutedRequest> routed;
-  routed.reserve(requests.size());
-  // Resolve each distinct handle once instead of taking the registry lock
-  // per request.
-  std::unordered_map<uint64_t, std::shared_ptr<Shard>> resolved;
-  for (const ServiceRequest& request : requests) {
-    auto it = resolved.find(request.setting.id);
-    if (it == resolved.end()) {
-      it = resolved.emplace(request.setting.id, FindShard(request.setting))
-               .first;
-    }
-    routed.push_back(RoutedRequest{it->second, &request.request,
-                                   request.setting, &request.sched});
+  auto promise = std::make_shared<std::promise<Decision>>();
+  std::future<Decision> decision = promise->get_future();
+  RequestCacheKey key;
+  std::shared_ptr<FlightGroup> group;
+  const Admission admission = Admit(
+      *shard, request.request, request.sched, submit,
+      [promise](Decision d, bool) { promise->set_value(std::move(d)); },
+      /*claim=*/true, &key, &group);
+  if (admission == Admission::kClaimed) {
+    EvaluateForGroup(*shard, request.request, key, group);
   }
-  return routed;
+  // Served, evaluated here, or joined to a run already live on another
+  // thread (never a parked one), so this wait always makes progress.
+  return decision.get();
 }
 
-void CompletenessService::SubmitRouted(
-    const std::vector<RoutedRequest>& routed, DecisionStream* stream,
+void CompletenessService::SubmitAsync(ServiceRequest request,
+                                      std::function<void(Decision)> on_complete) {
+  const sched::TimePoint submit = sched::Clock::now();
+  std::shared_ptr<Shard> shard = FindShard(request.setting);
+  if (shard == nullptr) {
+    Decision unknown = UnknownHandleDecision(request.setting);
+    FinishRequest(nullptr, nullptr, submit, &unknown,
+                  ProblemKindName(request.request.kind));
+    on_complete(std::move(unknown));
+    return;
+  }
+  RequestCacheKey key;
+  std::shared_ptr<FlightGroup> group;
+  const bool inline_mode = workers_.empty() || tls_on_worker_thread;
+  switch (Admit(*shard, request.request, request.sched, submit,
+                [on_complete = std::move(on_complete)](Decision d, bool) {
+                  on_complete(std::move(d));
+                },
+                inline_mode, &key, &group)) {
+    case Admission::kClaimed:
+      EvaluateForGroup(*shard, request.request, key, group);
+      break;
+    case Admission::kParked:
+      ScheduleGroup(shard, key, group,
+                    std::make_shared<const DecisionRequest>(
+                        std::move(request.request)),
+                    request.sched);
+      break;
+    case Admission::kServed:
+    case Admission::kJoined:
+      break;
+  }
+}
+
+std::future<Decision> CompletenessService::SubmitAsync(ServiceRequest request) {
+  auto promise = std::make_shared<std::promise<Decision>>();
+  std::future<Decision> future = promise->get_future();
+  SubmitAsync(std::move(request),
+              [promise](Decision d) { promise->set_value(std::move(d)); });
+  return future;
+}
+
+void CompletenessService::SubmitSlots(
+    const std::vector<ServiceRequest>& requests, DecisionStream* stream,
     std::shared_ptr<const void> keep_alive) {
   const sched::TimePoint submit = sched::Clock::now();
-  const bool plan = options_.coalesce;
   const bool inline_mode = workers_.empty() || tls_on_worker_thread;
+  if (requests.empty()) {
+    stream->Finish();
+    return;
+  }
+  // Resolve each distinct handle once instead of taking the registry lock
+  // per request.
+  std::vector<std::shared_ptr<Shard>> shards(requests.size());
+  {
+    std::unordered_map<uint64_t, std::shared_ptr<Shard>> resolved;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto [it, inserted] = resolved.try_emplace(requests[i].setting.id);
+      if (inserted) it->second = FindShard(requests[i].setting);
+      shards[i] = it->second;
+    }
+  }
 
   // Publishing from the submitting thread (inline mode — including the
   // re-entrant on-a-worker case, where this thread is also the eventual
-  // consumer — rejected pushes, unknown handles) must never block on the
-  // stream bound: the consumer has not started draining yet. Pool workers
-  // executing scheduled tasks respect it — that is the backpressure —
-  // UNLESS admission itself can block: with OverloadPolicy::kBlock and a
+  // consumer — admission-time deliveries, refused pushes) must never block
+  // on the stream bound: the consumer has not started draining yet. Nor
+  // may a slot that shares its group with other members: they would wait
+  // behind it, and one of them may be the consumer itself (a Decide or a
+  // future on a key of its own stream). Pool workers delivering a group's
+  // sole member respect the bound — that is the backpressure — UNLESS
+  // admission itself can block: with OverloadPolicy::kBlock and a
   // quota/rate-limited tenant in the batch, the submitting thread may park
   // in Push until workers free queue slots, and a worker parked in Publish
   // waiting for that same (not yet draining) thread would close a deadlock
@@ -918,602 +840,108 @@ void CompletenessService::SubmitRouted(
   // buffering; bound batch memory with kReject quotas instead.
   bool admission_may_block = false;
   if (options_.overload == sched::OverloadPolicy::kBlock) {
-    for (const RoutedRequest& r : routed) {
-      if (r.shard != nullptr && (r.shard->options.max_queue > 0 ||
-                                 r.shard->options.rate_per_sec > 0)) {
+    for (const std::shared_ptr<Shard>& shard : shards) {
+      if (shard != nullptr && (shard->options.max_queue > 0 ||
+                               shard->options.rate_per_sec > 0)) {
         admission_may_block = true;
         break;
       }
     }
   }
   const bool bypass_bound = inline_mode || admission_may_block;
-  auto publish = [stream, bypass_bound](size_t index, Decision decision) {
-    stream->Publish(StreamedDecision{index, std::move(decision)},
-                    /*ignore_bound=*/bypass_bound || !tls_on_worker_thread);
+  auto remaining = std::make_shared<std::atomic<size_t>>(requests.size());
+  auto publish = [stream, bypass_bound, remaining](size_t index,
+                                                   Decision decision,
+                                                   bool sole) {
+    stream->Publish(
+        StreamedDecision{index, std::move(decision)},
+        /*ignore_bound=*/bypass_bound || !sole || !tls_on_worker_thread);
+    if (remaining->fetch_sub(1) == 1) stream->Finish();
   };
 
-  // Key derivation (re-fingerprinting each request's query and c-instance)
-  // runs on the submitting thread: planning must never depend on pool
-  // progress, because a worker publishing to a caller-owned bounded stream
-  // can legitimately block until that stream's consumer drains — a pool
-  // barrier here could deadlock against exactly that consumer.
-  std::vector<RequestCacheKey> keys(plan ? routed.size() : 0);
-  if (plan) {
-    for (size_t i = 0; i < routed.size(); ++i) {
-      if (routed[i].shard == nullptr) continue;
-      keys[i] = RequestKeyFor(routed[i].shard->prepared, *routed[i].request);
-    }
-  }
-
-  // Dedup-aware planning: one computation per (shard, cache key); the
-  // duplicates are delivered by their primary's task the moment it
-  // completes.
-  struct PlanKey {
-    const Shard* shard = nullptr;
+  // Every slot is admitted before any new group runs or is queued, so
+  // duplicates within the batch always find their group still in flight.
+  // A parked group's task runs at its batch members' most urgent priority
+  // and latest deadline.
+  struct Opened {
+    size_t slot;
     RequestCacheKey key;
-    bool operator==(const PlanKey& other) const {
-      return shard == other.shard && key == other.key;
-    }
+    std::shared_ptr<FlightGroup> group;
+    bool claimed;
+    sched::SchedParams sched;
   };
-  struct PlanKeyHash {
-    size_t operator()(const PlanKey& k) const {
-      return std::hash<const void*>()(k.shard) ^ RequestCacheKeyHash()(k.key);
-    }
-  };
-  std::unordered_map<PlanKey, size_t, PlanKeyHash> first_of;
-  std::unordered_map<size_t, std::vector<size_t>> dups_of;  // primary → dups
-  std::vector<size_t> primaries;
-  primaries.reserve(routed.size());
-  for (size_t i = 0; i < routed.size(); ++i) {
-    if (routed[i].shard == nullptr) {
-      Decision unknown = UnknownHandleDecision(routed[i].handle);
+  std::vector<Opened> opened;
+  std::unordered_map<const FlightGroup*, size_t> parked;  // -> opened index
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ServiceRequest& request = requests[i];
+    if (shards[i] == nullptr) {
+      Decision unknown = UnknownHandleDecision(request.setting);
       FinishRequest(nullptr, nullptr, submit, &unknown,
-                    ProblemKindName(routed[i].request->kind));
-      publish(i, std::move(unknown));
+                    ProblemKindName(request.request.kind));
+      publish(i, std::move(unknown), /*sole=*/false);
       continue;
     }
-    CountAdmission(*routed[i].shard, *routed[i].request, routed[i].sched);
-    if (plan) {
-      auto [it, inserted] =
-          first_of.emplace(PlanKey{routed[i].shard.get(), keys[i]}, i);
-      if (!inserted) {
-        dups_of[it->second].push_back(i);
-        continue;
+    Opened slot{i, {}, nullptr, false, request.sched};
+    const Admission admission = Admit(
+        *shards[i], request.request, request.sched, submit,
+        [publish, i](Decision d, bool sole) { publish(i, std::move(d), sole); },
+        inline_mode, &slot.key, &slot.group);
+    if (admission == Admission::kJoined) {
+      auto it = parked.find(slot.group.get());
+      if (it != parked.end()) {
+        sched::SchedParams& merged = opened[it->second].sched;
+        merged.priority = std::min(merged.priority, request.sched.priority);
+        merged.deadline = std::max(merged.deadline, request.sched.deadline);
       }
+    } else if (admission != Admission::kServed) {
+      slot.claimed = admission == Admission::kClaimed;
+      if (!slot.claimed) parked.emplace(slot.group.get(), opened.size());
+      opened.push_back(std::move(slot));
     }
-    primaries.push_back(i);
   }
-  if (primaries.empty()) {
-    stream->Finish();
-    return;
-  }
-
-  auto remaining = std::make_shared<std::atomic<size_t>>(primaries.size());
-  std::vector<sched::Task> tasks;
-  tasks.reserve(primaries.size());
-  for (size_t i : primaries) {
-    const RoutedRequest& r = routed[i];
-    // The dedup group's slots (primary first) and their cancel tokens.
-    // Sched params merge across members: the latest deadline and the most
-    // urgent priority govern the task, and — like in-flight flight groups
-    // — the computation is shed only when EVERY member's token is
-    // cancelled; individually-cancelled members report kCancelled at
-    // delivery. Tokens are copied (shared state), so the closure holds no
-    // pointers into the caller's sched params.
-    std::vector<size_t> slots{i};
-    if (auto it = dups_of.find(i); it != dups_of.end()) {
-      slots.insert(slots.end(), it->second.begin(), it->second.end());
-    }
-    sched::SchedParams effective;
-    std::vector<sched::CancelToken> tokens(slots.size());
-    sched::CancelGroup slot_interest;
-    for (size_t j = 0; j < slots.size(); ++j) {
-      const sched::SchedParams* sp = routed[slots[j]].sched;
-      const sched::Priority priority =
-          sp != nullptr ? sp->priority : sched::Priority::kNormal;
-      const sched::TimePoint deadline =
-          sp != nullptr ? sp->deadline : sched::kNoDeadline;
-      if (sp != nullptr) tokens[j] = sp->cancel;
-      slot_interest.Add(tokens[j]);  // a token-less slot pins the group
-      if (j == 0) {
-        effective.priority = priority;
-        effective.deadline = deadline;
-      } else {
-        effective.priority = std::min(effective.priority, priority);
-        effective.deadline = std::max(effective.deadline, deadline);
-      }
-    }
-    // The merged params carry the slots' JOINT token: both the entry gate
-    // in DecideOnShard and the decider's mid-run checkpoints then abort
-    // exactly when every member of the dedup group has cancelled.
-    effective.cancel = slot_interest.token();
-    // One sampled trace per dedup group, carried by the primary slot: the
-    // admit span covers routing + planning, the queue span everything from
-    // enqueue to the worker claiming the task.
-    std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-    if (trace != nullptr) {
-      trace->Phase("admit", submit);
-      trace->Phase("queue");
-    }
-    sched::Task task;
-    task.tenant = r.handle.id;
-    task.priority = effective.priority;
-    task.deadline = effective.deadline;
-    task.fn = [this, shard = r.shard, request = r.request,
-               has_key = plan, key = plan ? keys[i] : RequestCacheKey{},
-               slots = std::move(slots), tokens = std::move(tokens),
-               effective, remaining, stream, publish, keep_alive, submit,
-               trace](sched::TaskOutcome outcome,
-                      std::chrono::microseconds wait) {
-      {
-        MutexLock lock(shard->mu);
-        CountWaitLocked(shard->counters, wait, shard->metrics.queue_wait);
-      }
-      // Cancellation snapshot at evaluation start: members cancelling
-      // later are too late (they receive the result), matching the
-      // flight-group semantics.
-      std::vector<bool> cancelled(slots.size());
-      bool all_cancelled = true;
-      for (size_t j = 0; j < slots.size(); ++j) {
-        cancelled[j] = tokens[j].cancelled();
-        all_cancelled = all_cancelled && cancelled[j];
-      }
-      Decision decision;
-      bool evaluated = false;
-      if (outcome == sched::TaskOutcome::kRun && !all_cancelled) {
-        // `effective` carries the slots' joint token and latest deadline,
-        // so the evaluation itself aborts at a checkpoint if the whole
-        // group cancels (or the merged deadline passes) mid-run.
-        decision = DecideOnShard(*shard, *request, has_key ? &key : nullptr,
-                                 &effective, /*count_request=*/true, trace);
-        evaluated = true;  // DecideOnShard counted one request's outcome
-      } else if (outcome == sched::TaskOutcome::kExpired) {
-        if (trace != nullptr) trace->Phase("shed");
-        decision = ExpiredDecision();
-      } else if (outcome == sched::TaskOutcome::kRejected) {
-        if (trace != nullptr) trace->Phase("shed");
-        decision = RejectedDecision();
-      } else {
-        if (trace != nullptr) trace->Phase("shed");
-        decision = CancelledDecision();  // every member cancelled
-      }
-      // The first live member inherits the evaluation's accounting (done
-      // inside DecideOnShard); everyone else is counted here per its own
-      // fate. Shed groups (expired / rejected / all-cancelled) charge
-      // every member.
-      size_t billed = slots.size();
-      if (evaluated) {
-        for (size_t j = 0; j < slots.size(); ++j) {
-          if (!cancelled[j]) {
-            billed = j;
-            break;
-          }
-        }
-      }
-      for (size_t j = 0; j < slots.size(); ++j) {
-        Decision member_decision;
-        if (j == billed) {
-          member_decision = decision;
-        } else if (cancelled[j]) {
-          member_decision = CancelledDecision();
-          MutexLock lock(shard->mu);
-          ++shard->counters.requests;
-          ++shard->counters.cancelled;
-        } else if (!evaluated) {
-          member_decision = decision;
-          MutexLock lock(shard->mu);
-          CountDuplicateLocked(shard->counters, decision);
-        } else {
-          member_decision = decision;
-          member_decision.from_cache = !IsShedDecision(decision);
-          AppendNote(&member_decision,
-                     "coalesced with identical request in batch");
-          MutexLock lock(shard->mu);
-          CountDuplicateLocked(shard->counters, decision);
-        }
-        // The trace rides the primary slot only — one Finish, one slow-log
-        // offer per sampled submission.
-        FinishRequest(shard.get(), j == 0 ? trace : nullptr, submit,
-                      &member_decision, ProblemKindName(request->kind));
-        publish(slots[j], std::move(member_decision));
-      }
-      if (remaining->fetch_sub(1) == 1) stream->Finish();
-    };
-    tasks.push_back(std::move(task));
-  }
-
-  if (inline_mode) {
-    for (sched::Task& task : tasks) {
-      task.fn(InlineOutcome(task), sched::kNotQueued);
-    }
-    return;
-  }
-  for (sched::Task& task : tasks) {
-    if (!queue_.Push(std::move(task))) {
-      task.fn(sched::TaskOutcome::kRejected, sched::kNotQueued);
+  for (Opened& slot : opened) {
+    const ServiceRequest& request = requests[slot.slot];
+    if (slot.claimed) {
+      EvaluateForGroup(*shards[slot.slot], request.request, slot.key,
+                       slot.group);
+    } else {
+      // Shares ownership with `keep_alive` (non-owning when the caller
+      // blocks until delivery).
+      ScheduleGroup(shards[slot.slot], slot.key, slot.group,
+                    std::shared_ptr<const DecisionRequest>(keep_alive,
+                                                           &request.request),
+                    slot.sched);
     }
   }
 }
 
-std::vector<Decision> CompletenessService::CollectRouted(
-    const std::vector<RoutedRequest>& routed) {
-  // The blocking collect shared by both SubmitBatch overloads: run the
-  // plan through an unbounded stream and reassemble by index.
+std::vector<Decision> CompletenessService::SubmitBatch(
+    const std::vector<ServiceRequest>& requests) {
   DecisionStream stream(/*capacity=*/0);
-  SubmitRouted(routed, &stream);
-  std::vector<Decision> results(routed.size());
+  SubmitSlots(requests, &stream, nullptr);
+  std::vector<Decision> results(requests.size());
   stream.Drain([&results](StreamedDecision item) {
     results[item.index] = std::move(item.decision);
   });
   return results;
 }
 
-std::vector<Decision> CompletenessService::SubmitBatch(
-    const std::vector<ServiceRequest>& requests) {
-  return CollectRouted(RouteBatch(requests));
-}
-
-std::vector<Decision> CompletenessService::SubmitBatch(
-    SettingHandle handle, const std::vector<DecisionRequest>& requests) {
-  std::shared_ptr<Shard> shard = FindShard(handle);
-  std::vector<RoutedRequest> routed;
-  routed.reserve(requests.size());
-  for (const DecisionRequest& request : requests) {
-    routed.push_back(RoutedRequest{shard, &request, handle, nullptr});
-  }
-  return CollectRouted(routed);
-}
-
 void CompletenessService::SubmitStream(
     const std::vector<ServiceRequest>& requests, DecisionStream* stream) {
-  // This flavor returns before delivery completes, so the scheduled tasks
-  // must not reference the caller's vector: route against a private copy
-  // pinned by every task until the last one ran.
+  // This flavor returns before delivery completes, so queued owner tasks
+  // must not reference the caller's vector: admit a private copy, pinned by
+  // every task until the last one ran.
   auto owned = std::make_shared<const std::vector<ServiceRequest>>(requests);
-  std::vector<RoutedRequest> routed = RouteBatch(*owned);
-  SubmitRouted(routed, stream, owned);
+  SubmitSlots(*owned, stream, owned);
 }
 
 void CompletenessService::SubmitStream(
     const std::vector<ServiceRequest>& requests, const StreamSink& sink) {
   DecisionStream stream(/*capacity=*/0);
-  SubmitStream(requests, &stream);
+  SubmitSlots(requests, &stream, nullptr);
   stream.Drain([&sink](StreamedDecision item) {
     sink(item.index, item.decision);
   });
-}
-
-void CompletenessService::SubmitAsyncImpl(
-    ServiceRequest request, std::shared_ptr<std::promise<Decision>> promise,
-    std::function<void(Decision)> on_complete) {
-  auto deliver = [&promise, &on_complete](Decision decision) {
-    FlightGroup::Member member;
-    member.promise = promise;
-    member.callback = on_complete;
-    ResolveMember(member, std::move(decision));
-  };
-  // Route at submission time: releasing the setting after admission does
-  // not fail requests already in the system.
-  const sched::TimePoint submit = sched::Clock::now();
-  std::shared_ptr<Shard> shard = FindShard(request.setting);
-  if (shard == nullptr) {
-    Decision unknown = UnknownHandleDecision(request.setting);
-    FinishRequest(nullptr, nullptr, submit, &unknown,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(unknown));
-    return;
-  }
-  CountAdmission(*shard, request.request, &request.sched);
-  std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-  if (trace != nullptr) trace->Phase("admit", submit);
-  if (workers_.empty() || tls_on_worker_thread) {
-    Decision decision =
-        DecideOnShard(*shard, request.request, nullptr, &request.sched,
-                      /*count_request=*/true, trace);
-    FinishRequest(shard.get(), trace, submit, &decision,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(decision));
-    return;
-  }
-  const sched::SchedParams& sp = request.sched;
-  // Admission-time shed: dead requests never pollute the queue.
-  if (sp.cancel.cancelled() || sp.deadline < sched::Clock::now()) {
-    const bool cancelled = sp.cancel.cancelled();
-    {
-      MutexLock lock(shard->mu);
-      ++shard->counters.requests;
-      if (cancelled) {
-        ++shard->counters.cancelled;
-      } else {
-        ++shard->counters.expired;
-      }
-    }
-    if (trace != nullptr) {
-      trace->Phase("shed");
-      trace->AnnotatePhase(cancelled ? "cancelled at admission"
-                                     : "deadline passed at admission");
-    }
-    Decision decision = cancelled ? CancelledDecision() : ExpiredDecision();
-    FinishRequest(shard.get(), trace, submit, &decision,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(decision));
-    return;
-  }
-
-  if (!options_.coalesce) {
-    {
-      MutexLock lock(shard->mu);
-      ++shard->counters.requests;
-    }
-    if (trace != nullptr) trace->Phase("queue");
-    sched::Task task;
-    task.tenant = request.setting.id;
-    task.priority = sp.priority;
-    task.deadline = sp.deadline;
-    task.fn = [this, shard, request = std::move(request.request),
-               sched = sp, promise, on_complete = std::move(on_complete),
-               submit, trace](sched::TaskOutcome outcome,
-                              std::chrono::microseconds wait) {
-      {
-        MutexLock lock(shard->mu);
-        CountWaitLocked(shard->counters, wait, shard->metrics.queue_wait);
-      }
-      Decision decision;
-      switch (outcome) {
-        case sched::TaskOutcome::kRun:
-          decision = DecideOnShard(*shard, request, nullptr, &sched,
-                                   /*count_request=*/false, trace);
-          break;
-        case sched::TaskOutcome::kExpired: {
-          if (trace != nullptr) trace->Phase("shed");
-          MutexLock lock(shard->mu);
-          ++shard->counters.expired;
-          decision = ExpiredDecision();
-          break;
-        }
-        case sched::TaskOutcome::kRejected: {
-          if (trace != nullptr) trace->Phase("shed");
-          MutexLock lock(shard->mu);
-          ++shard->counters.rejected;
-          decision = RejectedDecision();
-          break;
-        }
-      }
-      FinishRequest(shard.get(), trace, submit, &decision,
-                    ProblemKindName(request.kind));
-      FlightGroup::Member member;
-      member.promise = promise;
-      member.callback = on_complete;  // const capture: copy, not move
-      ResolveMember(member, std::move(decision));
-    };
-    if (!queue_.Push(std::move(task))) {
-      task.fn(sched::TaskOutcome::kRejected, sched::kNotQueued);
-    }
-    return;
-  }
-
-  // Coalescing admission: cache hits and joins resolve without ever
-  // touching the queue; only a fresh computation becomes a task.
-  const RequestCacheKey key = RequestKeyFor(shard->prepared, request.request);
-  const bool memoize = options_.memoize && shard->cache->capacity() > 0;
-  if (trace != nullptr) trace->Phase("cache-lookup");
-  std::shared_ptr<FlightGroup> group;
-  Decision hit;
-  bool have_hit = false;
-  bool joined = false;
-  uint64_t joined_run_id = 0;
-  bool joined_run_traced = false;
-  {
-    MutexLock lock(shard->mu);
-    ++shard->counters.requests;
-    if (memoize) {
-      if (shard->cache->Get(key, &hit)) {
-        ++shard->counters.cache_hits;
-        hit.from_cache = true;
-        have_hit = true;
-        if (trace != nullptr) trace->AnnotatePhase("hit");
-      }
-    }
-    if (!have_hit) {
-      auto it = shard->in_flight.find(key);
-      if (it != shard->in_flight.end()) {
-        // Join the flight group (parked or already evaluating); this
-        // member is classified — result, coalesced copy, or cancelled —
-        // when the group publishes. Its token joins the group interest and
-        // its deadline extends the run deadline, so a RUNNING evaluation
-        // stays alive (and deadline-bounded correctly) while this member
-        // is live.
-        it->second->interest.Add(sp.cancel);
-        ExtendRunDeadline(*it->second, sp.deadline);
-        joined = true;
-        if (it->second->run_trace != nullptr) {
-          joined_run_traced = true;
-          joined_run_id = it->second->run_trace->id();
-        }
-        it->second->members.push_back(FlightGroup::Member{
-            sp.cancel, sp.deadline, promise, std::move(on_complete), submit,
-            trace});
-      } else {
-        group = std::make_shared<FlightGroup>();
-        group->interest.Add(sp.cancel);
-        ExtendRunDeadline(*group, sp.deadline);
-        group->future = std::make_shared<std::shared_future<Decision>>(
-            group->sync_promise.get_future().share());
-        group->members.push_back(FlightGroup::Member{
-            sp.cancel, sp.deadline, promise, std::move(on_complete), submit,
-            trace});
-        shard->in_flight.emplace(key, group);
-      }
-    }
-  }
-  if (have_hit) {
-    FinishRequest(shard.get(), trace, submit, &hit,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(hit));
-    return;
-  }
-  if (joined) {
-    // The member's own trace shows the join; the run it joined is closed by
-    // whichever thread publishes the group (EvaluateForGroup / ShedGroup /
-    // RunOwnerTask), which also finishes this member's trace.
-    if (trace != nullptr) {
-      trace->Phase("coalesce-join");
-      trace->AnnotatePhase(joined_run_traced
-                               ? "joined run trace#" +
-                                     std::to_string(joined_run_id)
-                               : "joined in-flight run");
-    }
-    return;
-  }
-  if (trace != nullptr) trace->Phase("queue");
-  // The request is about to move into the task closure; the shed path
-  // below only needs its kind name (a static string).
-  const char* kind_name = ProblemKindName(request.request.kind);
-  sched::Task task;
-  task.tenant = request.setting.id;
-  task.priority = sp.priority;
-  task.deadline = sp.deadline;
-  task.fn = [this, shard, key, group,
-             request = std::move(request.request)](
-                sched::TaskOutcome, std::chrono::microseconds wait) {
-    RunOwnerTask(shard, key, group, request, wait);
-  };
-  if (!queue_.Push(std::move(task))) {
-    ShedGroup(*shard, key, group, kind_name);
-  }
-}
-
-void CompletenessService::RunOwnerTask(
-    const std::shared_ptr<Shard>& shard_ptr, const RequestCacheKey& key,
-    const std::shared_ptr<FlightGroup>& group, const DecisionRequest& request,
-    std::chrono::microseconds wait) {
-  Shard& shard = *shard_ptr;
-  GaugeGuard in_flight(inflight_gauge_);
-  const bool memoize = options_.memoize && shard.cache->capacity() > 0;
-  enum class Action { kStolen, kShed, kHit, kEvaluate };
-  Action action = Action::kEvaluate;
-  size_t billed = kSyncBilled;
-  Decision hit;
-  std::vector<FlightGroup::Member> members;
-  std::vector<bool> member_cancelled;
-  {
-    MutexLock lock(shard.mu);
-    CountWaitLocked(shard.counters, wait, shard.metrics.queue_wait);
-    if (group->started) {
-      // A synchronous caller stole the parked group; it owns publication.
-      action = Action::kStolen;
-    } else {
-      // Only a live member keeps the computation alive: a group whose
-      // every waiter has cancelled or expired is shed before evaluation.
-      // (Sync waiters only ever join *started* groups, so none exist.)
-      const sched::TimePoint now = sched::Clock::now();
-      for (size_t i = 0; i < group->members.size(); ++i) {
-        const FlightGroup::Member& m = group->members[i];
-        if (!m.cancel.cancelled() && m.deadline >= now) {
-          billed = i;
-          break;
-        }
-      }
-      if (billed == kSyncBilled) {
-        action = Action::kShed;
-        shard.in_flight.erase(key);
-        members = std::move(group->members);
-        group->members.clear();
-        member_cancelled.reserve(members.size());
-        for (const FlightGroup::Member& member : members) {
-          const bool cancelled = member.cancel.cancelled();
-          member_cancelled.push_back(cancelled);
-          if (cancelled) {
-            ++shard.counters.cancelled;
-          } else {
-            ++shard.counters.expired;
-          }
-        }
-      } else if (memoize && shard.cache->Get(key, &hit)) {
-        // A synchronous caller computed and cached this request while the
-        // task sat queued: serve the whole group from the cache.
-        action = Action::kHit;
-        hit.from_cache = true;
-        shard.in_flight.erase(key);
-        members = std::move(group->members);
-        group->members.clear();
-        member_cancelled.reserve(members.size());
-        for (size_t i = 0; i < members.size(); ++i) {
-          const bool cancelled =
-              i != billed && members[i].cancel.cancelled();
-          member_cancelled.push_back(cancelled);
-          if (cancelled) {
-            ++shard.counters.cancelled;
-          } else {
-            ++shard.counters.cache_hits;
-            if (i != billed) ++shard.counters.coalesced;
-          }
-        }
-      } else {
-        action = Action::kEvaluate;
-        group->started = true;
-        // The billed member's trace becomes the run's trace: its timeline
-        // gains the evaluate / cache-store phases, and later joiners see
-        // which sampled run they piggy-backed on.
-        if (billed < group->members.size()) {
-          group->run_trace = group->members[billed].trace;
-        }
-        ++shard.counters.cache_misses;  // charged to the billed member
-      }
-    }
-  }
-  switch (action) {
-    case Action::kStolen:
-      return;
-    case Action::kShed: {
-      group->sync_promise.set_value(ExpiredDecision());
-      for (size_t i = 0; i < members.size(); ++i) {
-        Decision decision = member_cancelled[i] ? CancelledDecision()
-                                                : ExpiredDecision();
-        if (members[i].trace != nullptr) members[i].trace->Phase("shed");
-        FinishRequest(&shard, members[i].trace, members[i].submit, &decision,
-                      ProblemKindName(request.kind));
-        ResolveMember(members[i], std::move(decision));
-      }
-      return;
-    }
-    case Action::kHit: {
-      group->sync_promise.set_value(hit);
-      for (size_t i = 0; i < members.size(); ++i) {
-        Decision decision;
-        if (member_cancelled[i]) {
-          decision = CancelledDecision();
-        } else {
-          decision = hit;
-          if (i != billed) {
-            AppendNote(&decision, "coalesced with identical in-flight request");
-          }
-        }
-        if (members[i].trace != nullptr) {
-          members[i].trace->AnnotatePhase("served from cache at claim time");
-        }
-        FinishRequest(&shard, members[i].trace, members[i].submit, &decision,
-                      ProblemKindName(request.kind));
-        ResolveMember(members[i], std::move(decision));
-      }
-      return;
-    }
-    case Action::kEvaluate:
-      EvaluateForGroup(shard, request, key, group, billed);
-      return;
-  }
-}
-
-std::future<Decision> CompletenessService::SubmitAsync(ServiceRequest request) {
-  auto promise = std::make_shared<std::promise<Decision>>();
-  std::future<Decision> future = promise->get_future();
-  SubmitAsyncImpl(std::move(request), std::move(promise), nullptr);
-  return future;
-}
-
-void CompletenessService::SubmitAsync(ServiceRequest request,
-                                      std::function<void(Decision)> on_complete) {
-  SubmitAsyncImpl(std::move(request), nullptr, std::move(on_complete));
 }
 
 namespace {
@@ -1553,6 +981,9 @@ EngineCounters CompletenessService::TotalCounters() const {
     const cache::CacheStats cache_stats = shard->cache->stats();
     MutexLock lock(shard->mu);
     total += WithCacheStats(shard->counters, cache_stats);
+  }
+  if (cache_budget_ != nullptr) {
+    total.cache_bytes = cache_budget_->resident_bytes();
   }
   return total;
 }

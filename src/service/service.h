@@ -1,23 +1,37 @@
-// CompletenessService: the multi-setting decision service. Where the legacy
-// CompletenessEngine serves one partially closed setting (Dm, V), the
-// service hosts a registry of them — one per tenant / master-data snapshot —
-// admitted via RegisterSetting (deduplicated by the stable setting
-// fingerprint, refcounted, evicted by ReleaseSetting). Each registered
-// setting backs a shard owning its PreparedSetting, result cache, and
-// counters; handle-carrying requests are routed to their shard and served
-// over ONE worker pool shared by every setting, through four submission
-// paths:
+// CompletenessService: the multi-setting decision service. It hosts a
+// registry of partially closed settings (Dm, V) — one per tenant /
+// master-data snapshot — admitted via RegisterSetting (deduplicated by the
+// stable setting fingerprint, refcounted, evicted by ReleaseSetting). Each
+// registered setting backs a shard owning its PreparedSetting, result
+// cache, counters, and in-flight table; requests are routed to their shard
+// by handle and served over ONE worker pool shared by every setting.
 //
-//   Decide       — one request, synchronously on the calling thread;
-//   SubmitBatch  — a batch (possibly spanning settings), fanned out across
-//                  the pool with dedup-aware planning: identical requests in
-//                  one batch collapse to a single computation, the
-//                  duplicates reporting from_cache = true with a note;
-//   SubmitAsync  — fire-and-collect: returns a std::future<Decision> (or
-//                  invokes a completion callback) resolved by the pool;
-//   SubmitStream — the batch plan, delivered incrementally: each Decision
-//                  is handed to a pull stream / callback sink as it
-//                  completes instead of materializing the result vector.
+// Every submission takes the same admission pipeline. Under the shard
+// mutex, ONE admission step charges the request, sheds it when it is
+// already cancelled or past its deadline, serves a cache hit, or joins the
+// flight group of an identical request already in flight; otherwise it
+// opens a new group. A flight group is the unit of evaluation: its members
+// are every submission waiting on that key, each with its own delivery
+// callback, cancellation token, deadline, and trace. The entry points
+// differ only in how a member is delivered and who runs a new group:
+//
+//   SubmitAsync  — one admission; the member completes a future or a
+//                  callback, and a new group's owner task is queued;
+//   SubmitBatch /
+//   SubmitStream — N admissions, each member publishing its slot to a
+//                  stream; every slot is admitted before any new group is
+//                  queued, so in-batch duplicates always coalesce (a
+//                  group's task takes their most urgent priority and
+//                  latest deadline);
+//   Decide       — one admission plus help-run: the caller evaluates a
+//                  group it opens (or steals a parked one) on its own
+//                  thread, or waits on a group already running elsewhere.
+//
+// A caller that will block — Decide, and any submission made inline (a
+// zero-worker service, or re-entrantly from a pool thread) — never waits on
+// a parked group: with every worker blocked that way the pool would wedge.
+// It claims the group and evaluates it itself; the queued owner task then
+// finds it started and yields.
 //
 // Between the request paths and the worker pool sits the sched/ subsystem:
 // work is scheduled by a FairQueue whose tenants are the setting shards.
@@ -28,28 +42,19 @@
 // override weight, quota, rate limit, cache capacity, and the default
 // decider step budget per setting at registration. Requests may carry
 // per-submission sched params: a priority class, a deadline, and a
-// cooperative cancellation token. Deadlines and cancellation are ENFORCED,
-// not best-effort: a still-queued request past its deadline is shed before
-// evaluation, and a request already executing is aborted at the next
-// cooperative checkpoint inside the decider's search loops (SearchOptions
-// deadline/cancel plumbed per evaluation), reporting kDeadlineExceeded /
-// kCancelled with the partial SearchStats the aborted run accumulated.
-// Aborted and budget-exhausted decisions are never admitted to the shard
-// cache.
-//
-// Identical requests that are concurrently in flight — across batches,
-// async and stream submissions — coalesce: later occurrences join the
-// first's flight group instead of recomputing. A coalesced group is shed
-// (queued) or aborted (running) only when EVERY member has cancelled (or
-// expired); one live waiter keeps the computation alive for everyone — the
-// running evaluation polls the group's joint cancellation token at its
-// checkpoints, so the last waiter's Cancel() stops a computation that is
-// already burning a worker, not just parked ones. Answers are
-// deterministic: independent of worker count, scheduling policy, and
-// coalescing; only the from_cache flags and coalescing notes may differ
-// between runs. (The coalesced paths drive cancellation through the sched
-// params; a DecisionRequest's own options.cancel token is honored on the
-// non-coalesced paths only.)
+// cooperative cancellation token, which either-cancels with the request's
+// own options.cancel. Deadlines and cancellation are ENFORCED: a
+// still-queued group whose members have all cancelled or expired is shed
+// before evaluation, and a running one is aborted at the next cooperative
+// checkpoint inside the decider's search loops, reporting
+// kDeadlineExceeded / kCancelled with the partial SearchStats the aborted
+// run accumulated. One live member keeps a group alive for everyone: the
+// running evaluation polls the group's joint cancellation token and its
+// extendable run deadline (the latest among the members) at its
+// checkpoints. Aborted and budget-exhausted decisions are never cached.
+// Answers are deterministic: independent of worker count, scheduling
+// policy, and coalescing; only the from_cache flags and coalescing notes
+// may differ between runs.
 //
 // Shard caches live in the cache/ subsystem: each shard owns a
 // byte-weighted segmented LRU (cache::ShardCache — probation/protected
@@ -132,11 +137,8 @@ struct ShardOptions {
 
   /// Entry capacity for this shard's result cache; kInherit uses
   /// ServiceOptions::cache_capacity, 0 disables memoization for the shard.
-  /// The RESOLVED options returned by shard_options() always report the
-  /// EFFECTIVE capacity: kInherit replaced by the service default, and 0
-  /// whenever memoization is off service-wide (ServiceOptions::memoize =
-  /// false zeroes every shard's capacity at registration), so the reported
-  /// value and the cache's actual behavior cannot disagree.
+  /// The RESOLVED options returned by shard_options() report the EFFECTIVE
+  /// capacity, with kInherit replaced by the service default.
   size_t cache_capacity = kInherit;
   /// Starvation floor under the shared byte budget: OTHER shards' budget
   /// pressure never evicts this shard below this many resident bytes (the
@@ -175,8 +177,6 @@ struct ServiceOptions {
   /// bytes never exceed the budget no matter how witness-heavy one
   /// tenant's results are.
   size_t cache_budget_bytes = 0;
-  bool memoize = true;
-  bool coalesce = true;         ///< dedup-aware planning + in-flight joins
   /// Queue order across tenants. kFifo is the legacy strict arrival order;
   /// kFairShare applies stride scheduling over shard weights.
   sched::SchedPolicy policy = sched::SchedPolicy::kFifo;
@@ -282,48 +282,42 @@ class CompletenessService {
   Result<uint64_t> FingerprintRequest(SettingHandle handle,
                                       const DecisionRequest& request) const;
 
-  /// Decides one request synchronously on the calling thread (consulting
-  /// and filling the shard cache, coalescing with in-flight identical
-  /// requests, honoring the request's cancellation token and deadline both
-  /// at entry and mid-run via the decider's cooperative checkpoints). An
-  /// invalid or released handle yields an error Decision, not a crash.
-  /// Thread-safe.
+  /// Decides one request on the calling thread: a cache hit or an
+  /// admission-time shed returns at once; otherwise the caller evaluates
+  /// the request's flight group itself (opening it, or stealing a parked
+  /// one) or waits on an identical evaluation already running elsewhere.
+  /// Cancellation and deadline are honored at admission and mid-run via
+  /// the decider's cooperative checkpoints. An invalid or released handle
+  /// yields an error Decision, not a crash. Thread-safe.
   Decision Decide(const ServiceRequest& request);
-
-  /// Same, without wrapping the request (no copy) — the adapter hot path.
-  Decision Decide(SettingHandle handle, const DecisionRequest& request);
 
   /// Decides a batch; the result vector is parallel to `requests`. Requests
   /// may target different settings — each routes to its own shard — and are
-  /// fanned out across the shared pool under the scheduling policy. Dedup-
-  /// aware planning: identical requests (same shard, same cache key)
-  /// collapse to one computation; duplicates report from_cache = true with
-  /// a coalescing note. Multiple batches may be submitted concurrently;
-  /// under kFairShare their tenants share the pool by weight. Thread-safe.
+  /// fanned out across the shared pool under the scheduling policy.
+  /// Identical requests (same shard, same cache key) share one
+  /// computation; the others report from_cache = true with a coalescing
+  /// note. Multiple batches may be submitted concurrently; under kFairShare
+  /// their tenants share the pool by weight. Thread-safe.
   std::vector<Decision> SubmitBatch(const std::vector<ServiceRequest>& requests);
 
-  /// Single-setting batch without per-request handle plumbing (and without
-  /// copying the requests into ServiceRequests) — the engine adapter's path.
-  std::vector<Decision> SubmitBatch(SettingHandle handle,
-                                    const std::vector<DecisionRequest>& requests);
-
-  /// Async path: admits the request (cache lookups and coalescing joins are
-  /// resolved immediately, on the submitting thread; fresh work is enqueued
-  /// on the shared pool) and returns a future for its decision. With 0
-  /// workers the request is decided inline and the future is already
-  /// resolved. Thread-safe.
+  /// Async path: admits the request (cache hits, sheds and coalescing joins
+  /// resolve on the submitting thread; a new group is queued on the shared
+  /// pool) and returns a future for its decision. Submissions made inline —
+  /// with 0 workers or from a pool thread — evaluate on the submitting
+  /// thread, so their future is resolved on return unless it joined an
+  /// evaluation running on another thread. Thread-safe.
   std::future<Decision> SubmitAsync(ServiceRequest request);
 
   /// Callback flavor: `on_complete` is invoked with the decision, on a
   /// worker thread (or inline: with 0 workers, when the submission is made
-  /// from a pool thread, or when it resolves at admission from the cache).
-  /// Submissions made from inside a callback execute inline — a worker
-  /// parking on work only workers can drain would deadlock the pool — so
-  /// callbacks may safely call back into the service.
+  /// from a pool thread, or when it resolves at admission). Submissions
+  /// made from inside a callback execute inline — a worker parking on work
+  /// only workers can drain would deadlock the pool — so callbacks may
+  /// safely call back into the service.
   void SubmitAsync(ServiceRequest request,
                    std::function<void(Decision)> on_complete);
 
-  /// Streaming submission, pull flavor: the batch plan of SubmitBatch, but
+  /// Streaming submission, pull flavor: the admissions of SubmitBatch, but
   /// each decision is published to `stream` as it completes (tagged with
   /// its request index) instead of materializing the whole result vector.
   /// Returns once everything is admitted (the requests are copied, so the
@@ -348,7 +342,10 @@ class CompletenessService {
   /// from the shard cache's own stats at read time.
   Result<EngineCounters> counters(SettingHandle handle) const;
 
-  /// Field-wise sum of every live shard's counters.
+  /// Field-wise sum of every live shard's counters. Under a shared byte
+  /// budget, cache_bytes is instead the budget's resident total, read in
+  /// one load: summing the shards one by one can straddle a cross-shard
+  /// eviction and count the moved bytes twice.
   EngineCounters TotalCounters() const;
 
   /// Cache introspection for one shard: resident entries/bytes, lifetime
@@ -436,56 +433,68 @@ class CompletenessService {
   using SettingKey = RequestCacheKey;
   using SettingKeyHash = RequestCacheKeyHash;
 
-  /// One coalesced computation in flight: every identical concurrent
-  /// request joins this group instead of recomputing. Members that joined
-  /// at admission (async/stream) carry their own promise or callback and a
-  /// cancellation token; synchronous callers wait on the shared future.
-  /// The group is shed without evaluation only when no sync caller waits
-  /// and every member has cancelled or expired.
+  /// One computation in flight, and every submission waiting on it. Each
+  /// member is one admitted request: it joined the group instead of
+  /// recomputing and is delivered — through its own callback, stamped with
+  /// its own latency and trace — when the group publishes. The group is
+  /// shed without evaluation when every member has cancelled or expired.
   struct FlightGroup {
     struct Member {
+      /// The participant token: the request's own options.cancel
+      /// either-cancels with the submission's sched token.
       sched::CancelToken cancel;
       sched::TimePoint deadline = sched::kNoDeadline;
-      std::shared_ptr<std::promise<Decision>> promise;  // future flavor
-      std::function<void(Decision)> callback;           // callback flavor
-      /// Submission time and (when sampled) this member's own trace: each
-      /// waiter's decision is stamped with ITS latency at delivery, and a
-      /// coalesced waiter's trace records the run it joined.
+      /// Completes the future, callback, stream slot or Decide caller.
+      /// Called outside the shard lock — callbacks may re-enter the
+      /// service. `sole` is true only for the single member of a retired
+      /// group: only then may a delivery wait (on a bounded stream's
+      /// consumer), since no other member is queued behind it.
+      std::function<void(Decision, bool sole)> deliver;
       sched::TimePoint submit{};
-      std::shared_ptr<obs::Trace> trace;
+      std::shared_ptr<obs::Trace> trace;  ///< null when not sampled
     };
-    std::vector<Member> members;  ///< async joiners; an async owner is [0]
-    /// Joint cancellation interest of every participant — async members,
-    /// sync callers (owners, stealers, and joiners), and batch dedup
-    /// composites. The running evaluation polls interest.token() at its
-    /// cooperative checkpoints, so it aborts exactly when every registered
-    /// participant has cancelled; participants without a token pin the
-    /// computation live forever. Membership may grow while the evaluation
-    /// runs (a late joiner re-pins a not-yet-aborted run).
+    static constexpr size_t kNotBilled = static_cast<size_t>(-1);
+
+    std::vector<Member> members;
+    /// Joint cancellation interest of every member. The running evaluation
+    /// polls interest.token() at its cooperative checkpoints, so it aborts
+    /// exactly when every member has cancelled; members without a token
+    /// pin the computation live forever. Membership may grow while the
+    /// evaluation runs (a late joiner re-pins a not-yet-aborted run).
     sched::CancelGroup interest;
     /// The run's EXTENDABLE deadline: the latest deadline among every
-    /// participant recorded so far (steady-clock rep; max = none — one
-    /// deadline-less waiter lifts the bound for everyone). The evaluation's
-    /// checkpoints re-read it each poll via SearchOptions::shared_deadline,
-    /// so a waiter joining mid-run extends a running search's deadline the
-    /// same way its token re-pins cancellation. Grows monotonically
-    /// (ExtendRunDeadline); a member cancelling does not shrink it — the
-    /// cancellation side is the CancelGroup's job.
+    /// member so far (steady-clock rep; max = none — one deadline-less
+    /// member lifts the bound for everyone). The evaluation's checkpoints
+    /// re-read it each poll via SearchOptions::shared_deadline, so a member
+    /// joining mid-run extends a running search's deadline the same way its
+    /// token re-pins cancellation. Grows monotonically (ExtendRunDeadline).
     std::atomic<sched::Clock::rep> run_deadline{
         sched::TimePoint::min().time_since_epoch().count()};
-    /// Set once evaluation is claimed — by the queued owner task, or by a
-    /// synchronous caller that arrived first and "steals" the parked group
-    /// (a sync caller must never block on a task still parked in the
-    /// queue: with every worker blocked that way the pool would deadlock).
-    /// Sync callers therefore only ever wait on `future` of STARTED
-    /// groups, which is why the shed check needs no sync-waiter count.
+    /// Set once the group is claimed — for evaluation by its owner task or
+    /// by a blocking caller, or for shedding. A parked group (not started)
+    /// is never waited on by a blocking caller; it is stolen instead.
     bool started = false;
-    std::promise<Decision> sync_promise;
-    std::shared_ptr<std::shared_future<Decision>> future;
-    /// The trace of whichever participant claimed the evaluation (null for
-    /// an unsampled run). Written under the shard mutex where `started` is
-    /// set; joiners read it there to note which run they piggy-backed on.
+    /// The member charged with the evaluation's cache miss; its decision
+    /// is delivered unannotated. kNotBilled until a claim for evaluation.
+    size_t billed = kNotBilled;
+    /// The billed member's trace (null when unsampled). Written under the
+    /// shard mutex where `started` is set; joiners read it there to note
+    /// which run they piggy-backed on.
     std::shared_ptr<obs::Trace> run_trace;
+  };
+
+  /// What one admission left for its caller to do.
+  enum class Admission {
+    kServed,   ///< hit or shed at admission; the member is delivered
+    kJoined,   ///< joined a group in flight, which will deliver it
+    kParked,   ///< opened a parked group; the caller queues its owner task
+    kClaimed,  ///< claimed a group; the caller evaluates it on its thread
+  };
+
+  /// A retired group's members with the decision each one receives.
+  struct Delivery {
+    FlightGroup::Member member;
+    Decision decision;
   };
 
   /// Per-shard metric instruments, resolved once at registration from the
@@ -541,46 +550,29 @@ class CompletenessService {
         in_flight GUARDED_BY(mu);
   };
 
-  /// A request resolved to its shard (null when the handle is unknown).
-  struct RoutedRequest {
-    std::shared_ptr<Shard> shard;
-    const DecisionRequest* request = nullptr;
-    SettingHandle handle;
-    const sched::SchedParams* sched = nullptr;  ///< null = defaults
-  };
-
   std::shared_ptr<Shard> FindShard(SettingHandle handle) const
       EXCLUDES(registry_mu_);
   static Decision UnknownHandleDecision(SettingHandle handle);
-
-  /// Delivers one async member's decision through whichever channel it
-  /// registered (future or completion callback). Must be called outside
-  /// the shard lock — callbacks may re-enter the service.
-  static void ResolveMember(FlightGroup::Member& member, Decision decision);
-
-  /// Cache-through, coalescing evaluation on one shard + counter update,
-  /// honoring `sched` (cancellation/deadline at entry) when given.
-  /// `precomputed` lets the batch planner hand over the cache key it
-  /// already derived; `count_request` is false when the caller already
-  /// charged the request at admission (async paths). `trace`, when
-  /// sampled, receives the cache-lookup / coalesce-join / evaluate /
-  /// cache-store phases (the caller owns admit/queue/finish).
-  Decision DecideOnShard(Shard& shard, const DecisionRequest& request,
-                         const RequestCacheKey* precomputed = nullptr,
-                         const sched::SchedParams* sched = nullptr,
-                         bool count_request = true,
-                         const std::shared_ptr<obs::Trace>& trace = nullptr)
-      EXCLUDES(shard.mu);
 
   /// Resolves one new shard's metric instruments (and wires the cache's
   /// event sink) under the tenant label `handle_id`. No-op when
   /// ServiceOptions::metrics is false.
   void InitShardMetrics(Shard& shard, uint64_t handle_id);
 
-  /// Charges the per-kind / per-priority admission counters. Called once
-  /// per submitted request (duplicates included) at each entry point.
-  static void CountAdmission(const Shard& shard, const DecisionRequest& request,
-                             const sched::SchedParams* sched);
+  /// THE admission step every submission takes. Charges the request (the
+  /// shard's request counter, the per-kind / per-priority metrics, the
+  /// in-flight gauge) and, under the shard mutex, resolves it exactly once:
+  /// shed when already cancelled or past its deadline, served from the
+  /// cache, joined to the identical request's flight group, or opened as a
+  /// new group. `claim` is the blocking caller's role: it claims a new or
+  /// parked group for evaluation on its own thread instead of parking it.
+  /// `deliver` completes the member; a served member is delivered before
+  /// this returns. `key` and `group` are set for kParked / kClaimed.
+  Admission Admit(Shard& shard, const DecisionRequest& request,
+                  const sched::SchedParams& sched, sched::TimePoint submit,
+                  std::function<void(Decision, bool)> deliver, bool claim,
+                  RequestCacheKey* key, std::shared_ptr<FlightGroup>* group)
+      EXCLUDES(shard.mu);
 
   /// The one delivery choke point: stamps Decision::latency_micros
   /// (submit → now), records it in the shard's end-to-end histogram and
@@ -589,22 +581,14 @@ class CompletenessService {
   /// instant the latency is measured, so span durations sum exactly to
   /// the stamped latency), offers a SlowEntry (latency, trace id, tenant,
   /// `kind`, trace, search profile) to the slow-decision log, and offers
-  /// the finished trace to the export ring. `shard` may be null
+  /// the finished trace to the export ring. With a shard it also retires
+  /// the request from the in-flight gauge Admit raised. `shard` may be null
   /// (unknown-handle deliveries); `kind` is the delivery's
   /// ProblemKindName (empty-string/null tolerated). Call at most once per
   /// (trace, decision) pair.
   void FinishRequest(Shard* shard, const std::shared_ptr<obs::Trace>& trace,
                      sched::TimePoint submit, Decision* decision,
                      const char* kind);
-
-  /// The evaluation-time SearchOptions for one request on `shard`: the
-  /// shard's default step budget (for requests that left max_steps at the
-  /// built-in default), the earliest of the request's own and the
-  /// submission's deadline, and the submission's cancellation token (the
-  /// group composite for scheduled batch work).
-  static SearchOptions EffectiveOptions(const Shard& shard,
-                                        const DecisionRequest& request,
-                                        const sched::SchedParams* sched);
 
   /// The instrumented core of every evaluation: anchors a SearchProfile at
   /// the same instant the trace's "evaluate" phase opens (so profile slice
@@ -625,69 +609,72 @@ class CompletenessService {
   void RecordSearchProfile(const Shard& shard, const DecisionRequest& request,
                            const SearchProfile& profile);
 
-  /// Records one participant's deadline in the group's shared run
-  /// deadline (monotonic max; kNoDeadline lifts it entirely). Called at
-  /// every join/creation/steal site, including while the evaluation runs.
+  /// Records one member's deadline in the group's shared run deadline
+  /// (monotonic max; kNoDeadline lifts it entirely).
   static void ExtendRunDeadline(FlightGroup& group, sched::TimePoint deadline);
 
-  /// Evaluates the group's request on the calling thread and publishes the
-  /// decision to the cache, every member, and all sync waiters. The caller
-  /// has set group->started under shard.mu. `billed_member` is the async
-  /// member charged with the evaluation (its decision is delivered
-  /// unannotated), or kSyncBilled when a synchronous caller owns the miss.
-  /// The evaluation runs under the group's joint cancellation token and
-  /// its extendable run deadline (the latest among all participants,
-  /// re-read at every checkpoint, so late joiners extend it). An aborted
-  /// evaluation reports kDeadlineExceeded / kCancelled to every live
-  /// member, moves the billed miss into the matching abort bucket (plus
-  /// shed_running / aborted_steps), and is never cached.
-  static constexpr size_t kSyncBilled = static_cast<size_t>(-1);
-  Decision EvaluateForGroup(Shard& shard, const DecisionRequest& request,
-                            const RequestCacheKey& key,
-                            const std::shared_ptr<FlightGroup>& group,
-                            size_t billed_member) EXCLUDES(shard.mu);
-
-  /// Sheds a not-yet-started group refused by admission control: members
-  /// report kUnavailable unless individually cancelled. No-op if
-  /// evaluation already started.
-  void ShedGroup(Shard& shard, const RequestCacheKey& key,
-                 const std::shared_ptr<FlightGroup>& group, const char* kind)
+  /// Evaluates a group claimed for evaluation on the calling thread (the
+  /// caller set `started` and `billed` under shard.mu) and publishes the
+  /// decision to the cache and every member. The evaluation runs under the
+  /// group's joint cancellation token and its extendable run deadline. An
+  /// aborted evaluation reports kDeadlineExceeded / kCancelled to every
+  /// live member, moves the billed miss into the matching abort bucket
+  /// (plus shed_running / aborted_steps), and is never cached.
+  void EvaluateForGroup(Shard& shard, const DecisionRequest& request,
+                        const RequestCacheKey& key,
+                        const std::shared_ptr<FlightGroup>& group)
       EXCLUDES(shard.mu);
 
-  /// The queued owner task of an admission-time flight group: records the
-  /// queue wait, then evaluates, serves the group from a cache entry that
-  /// appeared meanwhile, or sheds it when every member cancelled/expired —
-  /// or yields entirely when a synchronous caller stole the evaluation.
-  void RunOwnerTask(const std::shared_ptr<Shard>& shard,
-                    const RequestCacheKey& key,
+  /// The one member-publishing step: takes the group out of the in-flight
+  /// table (no member can join it afterwards) and files every member but
+  /// the billed one in the counters — cancelled members as cancelled,
+  /// members of a shed or aborted outcome under its bucket, the rest as
+  /// coalesced hits. Returns what each member receives; the caller hands
+  /// it to DeliverMembers once the shard mutex is released.
+  std::vector<Delivery> RetireGroupLocked(Shard& shard,
+                                          const RequestCacheKey& key,
+                                          FlightGroup& group,
+                                          const Decision& outcome)
+      REQUIRES(shard.mu);
+
+  /// Stamps and delivers one member's decision (FinishRequest, then its
+  /// callback, passed `sole`). Outside the shard mutex.
+  void DeliverMember(Shard& shard, FlightGroup::Member& member,
+                     Decision decision, const char* kind, bool sole);
+
+  /// Delivers a retired group's decisions; `shed` marks a group that was
+  /// never evaluated. A member of a group with several members is
+  /// delivered as not `sole`, so no delivery blocks the ones after it.
+  void DeliverMembers(Shard& shard, std::vector<Delivery> deliveries,
+                      const char* kind, bool shed);
+
+  /// Queues the owner task of a parked group. `request` must stay valid
+  /// until the group is claimed. A refused push sheds the group at once.
+  void ScheduleGroup(const std::shared_ptr<Shard>& shard,
+                     const RequestCacheKey& key,
+                     const std::shared_ptr<FlightGroup>& group,
+                     std::shared_ptr<const DecisionRequest> request,
+                     const sched::SchedParams& sched);
+
+  /// The queued owner task of a parked group: records the queue wait, then
+  /// claims and evaluates the group, sheds it when the queue refused it
+  /// (kUnavailable) or every member cancelled/expired — or yields when a
+  /// blocking caller stole the evaluation.
+  void RunOwnerTask(Shard& shard, const RequestCacheKey& key,
                     const std::shared_ptr<FlightGroup>& group,
-                    const DecisionRequest& request,
+                    const std::shared_ptr<const DecisionRequest>& request,
+                    sched::TaskOutcome outcome,
                     std::chrono::microseconds wait);
 
-  /// Shared admission core of both SubmitAsync flavors.
-  void SubmitAsyncImpl(ServiceRequest request,
-                       std::shared_ptr<std::promise<Decision>> promise,
-                       std::function<void(Decision)> on_complete);
-
-  /// The shared planning/fan-out core of SubmitBatch and SubmitStream:
-  /// plans dedup over `routed`, schedules one task per distinct request,
-  /// and publishes every slot's decision (duplicates right after their
-  /// primary) to `stream`, finishing it after the last slot. The stream
-  /// must outlive delivery (the caller drains it to completion). A dedup
-  /// group merges its members' sched params — latest deadline, most
-  /// urgent priority, shed only when EVERY member's token is cancelled —
-  /// and individually-cancelled members report kCancelled at delivery.
-  /// `keep_alive` pins whatever owns the routed requests until the last
-  /// task ran (the non-blocking pull flavor passes its private copy).
-  void SubmitRouted(const std::vector<RoutedRequest>& routed,
-                    DecisionStream* stream,
-                    std::shared_ptr<const void> keep_alive = nullptr);
-
-  /// Blocking collect over SubmitRouted — the SubmitBatch backend.
-  std::vector<Decision> CollectRouted(const std::vector<RoutedRequest>& routed);
-
-  std::vector<RoutedRequest> RouteBatch(
-      const std::vector<ServiceRequest>& requests);
+  /// The core of SubmitBatch and both SubmitStream flavors: admits every
+  /// slot (each member publishes its slot to `stream`), then runs the
+  /// groups it claimed inline or queues the ones it parked, and finishes
+  /// the stream after the last delivery. `keep_alive` owns `requests` when
+  /// the caller returns before delivery (the pull flavor's private copy);
+  /// null when the caller blocks until the stream finishes.
+  void SubmitSlots(const std::vector<ServiceRequest>& requests,
+                   DecisionStream* stream,
+                   std::shared_ptr<const void> keep_alive);
 
   void WorkerLoop(int worker_index);
 

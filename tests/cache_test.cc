@@ -1,11 +1,10 @@
-// The cache lifecycle subsystem: the legacy LruCache template's contract
-// (eviction order, overwrite refresh, zero capacity), the Decision weigher,
-// the byte-weighted segmented ShardCache (scan resistance, frequency-sketch
-// admission), the shared cross-shard CacheBudget (hard byte invariant,
-// coldest-shard-first victims, starvation floors), the versioned snapshot
-// format (round trip, corruption / stale-fingerprint rejection), and the
-// service-level warm start (SaveCaches → restart → RegisterSetting serves
-// yesterday's decision as a hit with zero evaluations).
+// The cache lifecycle subsystem: the Decision weigher, the byte-weighted
+// segmented ShardCache (scan resistance, frequency-sketch admission), the
+// shared cross-shard CacheBudget (hard byte invariant, coldest-shard-first
+// victims, starvation floors), the versioned snapshot format (round trip,
+// corruption / stale-fingerprint rejection), and the service-level warm
+// start (SaveCaches → restart → RegisterSetting serves yesterday's decision
+// as a hit with zero evaluations).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +18,6 @@
 #include "cache/persist.h"
 #include "cache/shard_cache.h"
 #include "cache/weigher.h"
-#include "service/lru_cache.h"
 #include "service/service.h"
 #include "test_util.h"
 
@@ -27,50 +25,6 @@ namespace relcomp {
 namespace {
 
 using testing::S;
-
-// ----------------------------------------------------- legacy LruCache --
-
-TEST(LruCacheTest, EvictionOrderIsLeastRecentlyUsed) {
-  LruCache<int, std::string> cache(2);
-  cache.Put(1, "one");
-  cache.Put(2, "two");
-  ASSERT_NE(cache.Get(1), nullptr);  // 1 is now the most recent
-  cache.Put(3, "three");             // evicts 2, the least recent
-  EXPECT_NE(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.Get(2), nullptr);
-  EXPECT_NE(cache.Get(3), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCacheTest, OverwriteRefreshesRecencyAndReplacesValue) {
-  LruCache<int, std::string> cache(2);
-  cache.Put(1, "one");
-  cache.Put(2, "two");
-  cache.Put(1, "uno");  // overwrite refreshes 1's recency
-  cache.Put(3, "three");  // evicts 2, not the refreshed 1
-  const std::string* one = cache.Get(1);
-  ASSERT_NE(one, nullptr);
-  EXPECT_EQ(*one, "uno");
-  EXPECT_EQ(cache.Get(2), nullptr);
-}
-
-TEST(LruCacheTest, ZeroCapacityStoresNothing) {
-  LruCache<int, int> cache(0);
-  cache.Put(1, 10);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(LruCacheTest, ClearEmptiesTheCache) {
-  LruCache<int, int> cache(4);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  cache.Put(3, 30);  // still usable after Clear
-  EXPECT_NE(cache.Get(3), nullptr);
-}
 
 // --------------------------------------------------------------- weigher --
 
@@ -319,13 +273,15 @@ TEST(CacheBudgetTest, ConcurrentInsertsNeverExceedTheBudget) {
   // TryCharge admits a reservation only within budget, so BOTH invariants
   // are hard: charged bytes never exceed the budget, and resident bytes
   // (≤ charged — every entry is charged before it materializes) never do
-  // either, at any sampled instant.
+  // either, at any sampled instant. Resident bytes are sampled as the
+  // budget's one-load total: reading a->bytes() and b->bytes() separately
+  // can straddle a cross-shard eviction and double-count the moved bytes.
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
   std::thread sampler([&] {
     while (!stop.load()) {
       if (budget.used_bytes() > kBudget) violations.fetch_add(1);
-      if (a->bytes() + b->bytes() > kBudget) violations.fetch_add(1);
+      if (budget.resident_bytes() > kBudget) violations.fetch_add(1);
       std::this_thread::yield();
     }
   });
@@ -346,6 +302,7 @@ TEST(CacheBudgetTest, ConcurrentInsertsNeverExceedTheBudget) {
 
   EXPECT_EQ(violations.load(), 0);
   EXPECT_LE(a->bytes() + b->bytes(), kBudget);
+  EXPECT_EQ(budget.resident_bytes(), a->bytes() + b->bytes());
   EXPECT_GE(a->bytes(), 1024u);  // floors held through the crossfire
   EXPECT_GE(b->bytes(), 1024u);
 }
@@ -529,10 +486,10 @@ TEST(CacheLifecycleServiceTest, SharedBudgetHoldsAcrossTenantsUnderLoad) {
   std::atomic<int> violations{0};
   std::thread sampler([&] {
     // No gtest assertions off the main thread: tally violations instead.
+    // The total is the budget's one-load resident count: two per-shard
+    // CacheStats reads can straddle a cross-shard eviction.
     while (!stop.load()) {
-      Result<cache::CacheStats> sa = service.CacheStats(handle_a);
-      Result<cache::CacheStats> sb = service.CacheStats(handle_b);
-      if (sa.ok() && sb.ok() && sa->bytes + sb->bytes > kBudget) {
+      if (service.TotalCounters().cache_bytes > kBudget) {
         violations.fetch_add(1);
       }
       std::this_thread::yield();
@@ -557,6 +514,8 @@ TEST(CacheLifecycleServiceTest, SharedBudgetHoldsAcrossTenantsUnderLoad) {
   ASSERT_OK_AND_ASSIGN(stats_a, service.CacheStats(handle_a));
   ASSERT_OK_AND_ASSIGN(stats_b, service.CacheStats(handle_b));
   EXPECT_LE(stats_a.bytes + stats_b.bytes, kBudget);
+  EXPECT_EQ(service.TotalCounters().cache_bytes,
+            stats_a.bytes + stats_b.bytes);
   EXPECT_GE(stats_a.bytes, kFloor);  // floors held
   EXPECT_GE(stats_b.bytes, kFloor);
   // Pressure evicted somebody — and the per-shard caches agree with the
@@ -681,7 +640,7 @@ TEST(CacheLifecycleServiceTest, LoadIntoDisabledCacheCountsNothingApplied) {
   }
   ServiceOptions off;
   off.num_workers = 0;
-  off.memoize = false;
+  off.cache_capacity = 0;
   CompletenessService service(off);
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(setting));
   // The image matches a LIVE shard whose cache is disabled: dropped, and
@@ -694,23 +653,7 @@ TEST(CacheLifecycleServiceTest, LoadIntoDisabledCacheCountsNothingApplied) {
 }
 
 TEST(CacheLifecycleServiceTest, ResolvedOptionsReportEffectiveCapacity) {
-  // The doc/behavior mismatch fixed: with memoization off service-wide the
-  // resolved per-shard options report capacity 0 — matching the cache's
-  // actual behavior — instead of echoing an inherited capacity no cache
-  // honors.
-  ServiceOptions options;
-  options.num_workers = 0;
-  options.cache_capacity = 512;
-  options.memoize = false;
-  CompletenessService service(options);
-  ASSERT_OK_AND_ASSIGN(handle,
-                       service.RegisterSetting(MakeWitnessSetting(8)));
-  ASSERT_OK_AND_ASSIGN(resolved, service.shard_options(handle));
-  EXPECT_EQ(resolved.cache_capacity, 0u);
-  ASSERT_OK_AND_ASSIGN(stats, service.CacheStats(handle));
-  EXPECT_EQ(stats.entries, 0u);
-
-  // With memoization on, kInherit resolves to the service default.
+  // kInherit resolves to the service default.
   ServiceOptions on;
   on.num_workers = 0;
   on.cache_capacity = 512;

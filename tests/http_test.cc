@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -437,6 +438,13 @@ TEST(ObsEndpointServiceTest, ContendedScrapeExposesEveryFamily) {
         scrapes.fetch_add(1);
       }
     });
+  }
+  // The rounds must run against live scrape traffic: wait for the first
+  // scrape to land (bounded, so a dead endpoint fails below, not hangs).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (scrapes.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
   }
   for (int round = 0; round < 4; ++round) {
     std::vector<Decision> decisions = service.SubmitBatch(batch);

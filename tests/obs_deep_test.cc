@@ -488,7 +488,7 @@ TEST(ServiceObsDeepTest, DumpMetricsReportsWindowedRatesAndRecentLatency) {
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
 
   for (int i = 0; i < 3; ++i) {
-    service.Decide(handle, slow.Request());
+    service.Decide({handle, slow.Request()});
   }
 
   const std::string prom = service.DumpMetrics(obs::DumpFormat::kPrometheus);
@@ -518,7 +518,7 @@ TEST(ServiceObsDeepTest, SearchStepMetricsAttributePerLoop) {
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
   DecisionRequest request = slow.Request();
   request.options.max_steps = 100'000;
-  service.Decide(handle, request);
+  service.Decide({handle, request});
 
   const std::string prom = service.DumpMetrics(obs::DumpFormat::kPrometheus);
   EXPECT_NE(prom.find("relcomp_search_steps_total{"), std::string::npos)
@@ -617,7 +617,7 @@ TEST(ServiceObsDeepTest, ObsReportShowsVitalsAndRecorderSamples) {
   options.recorder_interval_ms = 5;
   CompletenessService service(options);
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
-  service.Decide(handle, slow.Request());
+  service.Decide({handle, slow.Request()});
 
   // The sampler thread ticks every 5ms; wait (bounded) for a sample.
   const auto deadline = Clock::now() + std::chrono::seconds(5);

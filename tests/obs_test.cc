@@ -46,6 +46,7 @@ using obs::Trace;
 using obs::Tracer;
 using obs::TraceTime;
 using testing::AuditFixture;
+using testing::ForSetting;
 using testing::MakeAuditFixture;
 using testing::MakeSlowFixture;
 using testing::SlowFixture;
@@ -590,7 +591,6 @@ ServiceOptions ObsOptions(size_t workers, uint64_t trace_sample,
   ServiceOptions options;
   options.num_workers = workers;
   options.cache_capacity = 64;
-  options.memoize = true;
   options.trace_sample = trace_sample;
   options.slow_log = slow_log;
   return options;
@@ -625,7 +625,8 @@ TEST(ServiceObsTest, TracedBatchTimelineAccountsForLatencyExactly) {
     request.cinstance = fx.audited;
     requests.push_back(std::move(request));
   }
-  const std::vector<Decision> decisions = service.SubmitBatch(handle, requests);
+  const std::vector<Decision> decisions =
+      service.SubmitBatch(ForSetting(handle, requests));
   ASSERT_EQ(decisions.size(), 2u);
   for (const Decision& decision : decisions) EXPECT_OK(decision.status);
 
@@ -667,7 +668,8 @@ TEST(ServiceObsTest, TracedBatchTimelineAccountsForLatencyExactly) {
 
   // Resubmitting the same batch hits the cache; the hit's trace shows the
   // lookup outcome and never reaches an evaluate phase.
-  const std::vector<Decision> again = service.SubmitBatch(handle, requests);
+  const std::vector<Decision> again =
+      service.SubmitBatch(ForSetting(handle, requests));
   for (const Decision& decision : again) EXPECT_TRUE(decision.from_cache);
   bool saw_hit_trace = false;
   for (const auto& entry : service.SlowDecisions()) {
@@ -698,7 +700,8 @@ TEST(ServiceObsTest, DumpMetricsExposesPerTenantLatencyAndOutcomes) {
       request.cinstance = fx->audited;
       requests.push_back(std::move(request));
     }
-    service.SubmitBatch(fx == &fx_a ? handle_a : handle_b, requests);
+    service.SubmitBatch(
+        ForSetting(fx == &fx_a ? handle_a : handle_b, requests));
   }
 
   const std::string prom = service.DumpMetrics();
@@ -749,7 +752,7 @@ TEST(ServiceObsTest, MetricsOffStillServesDerivedCounters) {
   request.kind = ProblemKind::kRcdpStrong;
   request.query = fx.by_patient;
   request.cinstance = fx.audited;
-  service.SubmitBatch(handle, {request});
+  service.SubmitBatch({ServiceRequest{handle, request}});
 
   const std::string prom = service.DumpMetrics();
   // Registry families are dark, but the EngineCounters-derived rows (the
@@ -769,7 +772,6 @@ TEST(ServiceObsTest, CoalescedWaiterTraceRecordsTheJoin) {
   SlowFixture slow = MakeSlowFixture(/*master_rows=*/6, /*vars=*/4);
   ServiceOptions options = ObsOptions(/*workers=*/1, /*trace_sample=*/1,
                                       /*slow_log=*/16);
-  options.coalesce = true;
   CompletenessService service(options);
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
 

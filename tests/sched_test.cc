@@ -37,6 +37,7 @@ namespace relcomp {
 namespace {
 
 using testing::AuditFixture;
+using testing::ForSetting;
 using testing::MakeAuditFixture;
 
 // ---------------------------------------------------------------------------
@@ -355,7 +356,6 @@ ServiceOptions MakeOptions(size_t workers, size_t cache) {
   ServiceOptions options;
   options.num_workers = workers;
   options.cache_capacity = cache;
-  options.memoize = cache > 0;
   return options;
 }
 
@@ -424,7 +424,6 @@ std::vector<uint64_t> RunContendedScenario(sched::SchedPolicy policy) {
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;
-  options.memoize = false;
   options.policy = policy;
   CompletenessService service(options);
 
@@ -536,7 +535,6 @@ TEST(SchedServiceTest, CoalescedGroupSurvivesPartialCancellation) {
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;
-  options.memoize = false;
   CompletenessService service(options);
   AuditFixture fx = MakeAuditFixture();
   Result<SettingHandle> handle = service.RegisterSetting(fx.setting);
@@ -581,7 +579,6 @@ TEST(SchedServiceTest, CoalescedGroupShedsOnlyWhenAllWaitersCancel) {
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 0;
-  options.memoize = false;
   CompletenessService service(options);
   AuditFixture fx = MakeAuditFixture();
   Result<SettingHandle> handle = service.RegisterSetting(fx.setting);
@@ -667,7 +664,6 @@ TEST(SchedServiceTest, SubmitStreamMatchesSubmitBatch) {
       ServiceOptions options;
       options.num_workers = workers;
       options.cache_capacity = 0;  // from_cache is then deterministic
-      options.memoize = false;
       options.policy = policy;
 
       auto build_workload = [&](CompletenessService& service,
@@ -794,10 +790,8 @@ TEST(SchedServiceTest, ReentrantBoundedPullStreamDoesNotDeadlock) {
   std::promise<size_t> streamed;
   service.SubmitAsync(
       ServiceRequest{*handle, trigger}, [&](Decision) {
-        std::vector<ServiceRequest> nested;
-        for (const DecisionRequest& request : DistinctWorkload(fx)) {
-          nested.push_back(ServiceRequest{*handle, request});
-        }
+        std::vector<ServiceRequest> nested =
+            ForSetting(*handle, DistinctWorkload(fx));
         DecisionStream stream(/*capacity=*/1);  // smaller than the batch
         service.SubmitStream(nested, &stream);
         size_t count = 0;
@@ -822,7 +816,6 @@ TEST(SchedServiceTest, BoundedStreamWithBlockingQuotaStaysLive) {
   ServiceOptions options;
   options.num_workers = 2;
   options.cache_capacity = 0;
-  options.memoize = false;
   ASSERT_EQ(options.overload, sched::OverloadPolicy::kBlock);
   CompletenessService service(options);
   ShardOptions shard_options;
@@ -832,10 +825,8 @@ TEST(SchedServiceTest, BoundedStreamWithBlockingQuotaStaysLive) {
   ASSERT_TRUE(handle.ok());
 
   std::future<size_t> done = std::async(std::launch::async, [&] {
-    std::vector<ServiceRequest> requests;
-    for (const DecisionRequest& request : DistinctWorkload(fx)) {
-      requests.push_back(ServiceRequest{*handle, request});
-    }
+    std::vector<ServiceRequest> requests =
+        ForSetting(*handle, DistinctWorkload(fx));
     DecisionStream stream(/*capacity=*/1);
     service.SubmitStream(requests, &stream);  // single-threaded consumer
     size_t count = 0;
@@ -999,6 +990,124 @@ TEST(SchedServiceTest, LateDeadlinelessJoinerLiftsARunningDeadline) {
   ExpectPartitionHolds(counters);
 }
 
+TEST(SchedServiceTest, JoinerIsNotHeldBehindAFullBoundedStream) {
+  // A bounded stream's slot shares its flight group with a Decide or a
+  // future of the stream's own consumer, made before it drains. The
+  // stream is full, so the slot's publish would wait for that consumer:
+  // the worker must not deliver the other member behind it.
+  AuditFixture audit = MakeAuditFixture();
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/40,
+                                                     /*vars=*/3);
+  for (const bool use_decide : {true, false}) {
+    SCOPED_TRACE(use_decide ? "Decide" : "SubmitAsync");
+    ServiceOptions options;
+    options.num_workers = 1;
+    CompletenessService service(options);
+    ASSERT_OK_AND_ASSIGN(fast, service.RegisterSetting(audit.setting));
+    ASSERT_OK_AND_ASSIGN(slow, service.RegisterSetting(fx.setting));
+
+    // Holds the slow evaluation at its first checkpoint until the joiner
+    // is in its group.
+    std::atomic<bool> release{false};
+    SearchOptions::SearchProgressFn gate = [&release](const char*, uint64_t) {
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    DecisionRequest first;
+    first.kind = ProblemKind::kRcdpStrong;
+    first.query = audit.all_cities;
+    first.cinstance = audit.audited;
+    DecisionRequest gated = fx.Request();
+    gated.options.progress = &gate;
+
+    DecisionStream stream(/*capacity=*/1);
+    // One worker, FIFO: slot 0 fills the stream before slot 1 runs.
+    service.SubmitStream({ServiceRequest{fast, first},
+                          ServiceRequest{slow, gated}},
+                         &stream);
+    WaitForEvaluationStart(service, slow);
+    std::future<Decision> joined = std::async(std::launch::async, [&] {
+      ServiceRequest request{slow, gated};
+      return use_decide ? service.Decide(request)
+                        : service.SubmitAsync(request).get();
+    });
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_OK_AND_ASSIGN(counters, service.counters(slow));
+      if (counters.requests >= 2) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    release = true;
+    const std::future_status status =
+        joined.wait_for(std::chrono::seconds(30));
+    size_t streamed = 0;  // drained either way, so a failure cannot hang
+    StreamedDecision item;
+    while (stream.Next(&item)) ++streamed;
+    ASSERT_EQ(status, std::future_status::ready)
+        << "the joiner waited behind a publish to its own full stream";
+    EXPECT_TRUE(joined.get().status.ok());
+    EXPECT_EQ(streamed, 2u);
+    ASSERT_OK_AND_ASSIGN(counters, service.counters(slow));
+    EXPECT_EQ(counters.coalesced, 1u);
+  }
+}
+
+TEST(SchedServiceTest, BatchDuplicateRaisesItsGroupsPriority) {
+  // A batch's low-priority request and its high-priority duplicate share
+  // one queued task, which runs at the high priority: ahead of a
+  // normal-priority request queued before the batch.
+  AuditFixture audit = MakeAuditFixture();
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/40,
+                                                     /*vars=*/3);
+  ServiceOptions options;
+  options.num_workers = 1;
+  CompletenessService service(options);
+  ASSERT_OK_AND_ASSIGN(fast, service.RegisterSetting(audit.setting));
+  ASSERT_OK_AND_ASSIGN(slow, service.RegisterSetting(fx.setting));
+
+  // Keeps the only worker busy while the queue fills.
+  std::atomic<bool> release{false};
+  SearchOptions::SearchProgressFn gate = [&release](const char*, uint64_t) {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  DecisionRequest gated = fx.Request();
+  gated.options.progress = &gate;
+  std::future<Decision> blocker =
+      service.SubmitAsync(ServiceRequest{slow, gated});
+  WaitForEvaluationStart(service, slow);
+
+  DecisionRequest normal;
+  normal.kind = ProblemKind::kRcdpStrong;
+  normal.query = audit.all_cities;
+  normal.cinstance = audit.audited;
+  // On the worker, right after the normal request: had the batch's group
+  // run first, its duplicate would already be filed as coalesced.
+  std::promise<uint64_t> coalesced_before_normal;
+  service.SubmitAsync(ServiceRequest{fast, normal}, [&](Decision) {
+    Result<EngineCounters> counters = service.counters(fast);
+    coalesced_before_normal.set_value(counters.ok() ? counters->coalesced
+                                                    : 99);
+  });
+  DecisionRequest batched = normal;
+  batched.query = audit.by_patient;
+  ServiceRequest low{fast, batched};
+  low.sched.priority = sched::Priority::kLow;
+  ServiceRequest high{fast, batched};
+  high.sched.priority = sched::Priority::kHigh;
+  DecisionStream batch;
+  service.SubmitStream({low, high}, &batch);  // returns once queued
+  release = true;
+  EXPECT_TRUE(blocker.get().status.ok());
+  StreamedDecision item;
+  while (batch.Next(&item)) {
+    EXPECT_TRUE(item.decision.status.ok()) << item.decision.status.ToString();
+  }
+  EXPECT_EQ(coalesced_before_normal.get_future().get(), 1u)
+      << "the batch's group ran at its creator's low priority";
+}
+
 TEST(SchedServiceTest, SubmitStreamCancellationStopsProducingPromptly) {
   // A streamed batch of slow requests under one cancel source: cancelling
   // mid-drain must abort the running evaluation AND shed everything still
@@ -1094,15 +1203,12 @@ TEST(StreamShutdownTest, AbandonedServiceStreamKeepsPoolAndWaitersLive) {
     ServiceOptions options;
     options.num_workers = 2;
     options.cache_capacity = 0;
-    options.memoize = false;
     CompletenessService service(options);
     Result<SettingHandle> handle = service.RegisterSetting(fx.setting);
     ASSERT_TRUE(handle.ok());
 
-    std::vector<ServiceRequest> requests;
-    for (const DecisionRequest& request : DistinctWorkload(fx)) {
-      requests.push_back(ServiceRequest{*handle, request});
-    }
+    std::vector<ServiceRequest> requests =
+        ForSetting(*handle, DistinctWorkload(fx));
     DecisionStream stream(/*capacity=*/1);
     service.SubmitStream(requests, &stream);
     // A waiter that coalesces with one of the streamed requests; it must
@@ -1119,7 +1225,7 @@ TEST(StreamShutdownTest, AbandonedServiceStreamKeepsPoolAndWaitersLive) {
         << "flight-group waiter leaked when the stream was abandoned";
     EXPECT_TRUE(waiter.get().status.ok());
     // The pool still serves fresh work after the abandoned stream.
-    Decision after = service.Decide(*handle, requests[0].request);
+    Decision after = service.Decide(requests[0]);
     EXPECT_TRUE(after.status.ok()) << after.status.ToString();
     // An abandoned stream may be destroyed only after the producer side
     // finished with it (stragglers publish into the void until then).
@@ -1188,14 +1294,12 @@ TEST(SchedServiceTest, StressMixedTrafficKeepsCounterInvariant) {
             std::vector<DecisionRequest> batch = workload;
             batch.push_back(workload[0]);
             batch.push_back(workload[0]);
-            service.SubmitBatch(handles[t], batch);
+            service.SubmitBatch(ForSetting(handles[t], batch));
             break;
           }
           case 2: {  // stream
-            std::vector<ServiceRequest> requests;
-            for (const DecisionRequest& r : workload) {
-              requests.push_back(ServiceRequest{handles[t], r});
-            }
+            std::vector<ServiceRequest> requests =
+                ForSetting(handles[t], workload);
             size_t seen = 0;
             service.SubmitStream(requests,
                                  [&seen](size_t, const Decision&) { ++seen; });
@@ -1209,7 +1313,7 @@ TEST(SchedServiceTest, StressMixedTrafficKeepsCounterInvariant) {
             dead.sched.deadline =
                 sched::Clock::now() - std::chrono::milliseconds(5);
             service.SubmitAsync(std::move(dead)).get();
-            service.Decide(handles[t], workload[1 % workload.size()]);
+            service.Decide({handles[t], workload[1 % workload.size()]});
             break;
           }
         }

@@ -1,7 +1,8 @@
 // CompletenessService: multi-setting registration / dedup / release,
-// interleaved cross-setting batches vs independent engines, async futures
-// and completion callbacks vs the synchronous path, dedup-aware batch
-// coalescing (exactly one miss), and witness propagation through the
+// interleaved cross-setting batches vs independent services, async futures
+// and completion callbacks vs the synchronous path, in-batch coalescing
+// (exactly one miss), request-level cancellation on every path, cache
+// admission and counter accounting, and witness propagation through the
 // service on the known-incomplete Fig. 1 acquisition instance.
 #include <gtest/gtest.h>
 
@@ -10,10 +11,11 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/rcdp.h"
-#include "engine/engine.h"
+#include "query/fo.h"
 #include "reductions/examples_fig1.h"
 #include "service/service.h"
 #include "test_util.h"
@@ -24,6 +26,7 @@ namespace {
 using testing::S;
 
 using testing::AuditFixture;
+using testing::ForSetting;
 using testing::MakeAuditFixture;
 
 /// Every problem kind × both audit queries for one fixture.
@@ -42,13 +45,10 @@ std::vector<DecisionRequest> AuditWorkload(const AuditFixture& fx) {
   return requests;
 }
 
-ServiceOptions MakeOptions(size_t workers, size_t cache,
-                           bool coalesce = true) {
+ServiceOptions MakeOptions(size_t workers, size_t cache) {
   ServiceOptions options;
   options.num_workers = workers;
   options.cache_capacity = cache;
-  options.memoize = cache > 0;
-  options.coalesce = coalesce;
   return options;
 }
 
@@ -65,27 +65,23 @@ void ExpectSameDecisions(const std::vector<Decision>& a,
   }
 }
 
-TEST(ServiceTest, InterleavedBatchesMatchIndependentEngines) {
+TEST(ServiceTest, InterleavedBatchesMatchIndependentServices) {
   AuditFixture fx_a = MakeAuditFixture(0);
   AuditFixture fx_b = MakeAuditFixture(1);
   std::vector<DecisionRequest> workload_a = AuditWorkload(fx_a);
   std::vector<DecisionRequest> workload_b = AuditWorkload(fx_b);
 
-  // Reference: one independent engine per setting, computed inline.
-  EngineOptions engine_options;
-  engine_options.num_workers = 0;
-  engine_options.cache_capacity = 0;
-  engine_options.memoize = false;
-  ASSERT_OK_AND_ASSIGN(engine_a,
-                       CompletenessEngine::Create(fx_a.setting, engine_options));
-  ASSERT_OK_AND_ASSIGN(engine_b,
-                       CompletenessEngine::Create(fx_b.setting, engine_options));
+  // Reference: one independent cacheless service per setting, computed
+  // inline.
   std::vector<Decision> expected_a, expected_b;
-  for (const DecisionRequest& request : workload_a) {
-    expected_a.push_back(engine_a->Decide(request));
-  }
-  for (const DecisionRequest& request : workload_b) {
-    expected_b.push_back(engine_b->Decide(request));
+  for (auto [fx, workload, expected] :
+       {std::make_tuple(&fx_a, &workload_a, &expected_a),
+        std::make_tuple(&fx_b, &workload_b, &expected_b)}) {
+    CompletenessService reference(MakeOptions(/*workers=*/0, /*cache=*/0));
+    ASSERT_OK_AND_ASSIGN(handle, reference.RegisterSetting(fx->setting));
+    for (const DecisionRequest& request : *workload) {
+      expected->push_back(reference.Decide({handle, request}));
+    }
   }
 
   // One service hosting both settings; the two workloads interleaved
@@ -145,9 +141,9 @@ TEST(ServiceTest, RegisteringIdenticalSettingReturnsSameHandle) {
   request.kind = ProblemKind::kRcdpStrong;
   request.query = fx.by_patient;
   request.cinstance = fx.audited;
-  Decision miss = service.Decide(first, request);
+  Decision miss = service.Decide({first, request});
   ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
-  Decision hit = service.Decide(second, request);
+  Decision hit = service.Decide({second, request});
   EXPECT_TRUE(hit.from_cache);
 }
 
@@ -164,13 +160,13 @@ TEST(ServiceTest, ReleaseSettingRefcountsAndEvicts) {
   DecisionRequest request;
   request.kind = ProblemKind::kRcqpWeak;
   request.query = fx.by_patient;
-  EXPECT_TRUE(service.Decide(handle, request).status.ok());
+  EXPECT_TRUE(service.Decide({handle, request}).status.ok());
 
   // The second release evicts; the handle goes dark, errors are graceful.
   EXPECT_OK(service.ReleaseSetting(handle));
   EXPECT_EQ(service.num_settings(), 0u);
   EXPECT_EQ(service.ReleaseSetting(handle).code(), StatusCode::kNotFound);
-  Decision gone = service.Decide(handle, request);
+  Decision gone = service.Decide({handle, request});
   EXPECT_EQ(gone.status.code(), StatusCode::kNotFound);
   EXPECT_FALSE(service.counters(handle).ok());
 
@@ -184,7 +180,7 @@ TEST(ServiceTest, InvalidHandleYieldsErrorDecisions) {
   SettingHandle bogus{42};
   DecisionRequest request;
 
-  EXPECT_EQ(service.Decide(bogus, request).status.code(),
+  EXPECT_EQ(service.Decide({bogus, request}).status.code(),
             StatusCode::kNotFound);
   std::vector<Decision> batch =
       service.SubmitBatch({ServiceRequest{bogus, request},
@@ -217,11 +213,10 @@ TEST(ServiceTest, AsyncFuturesMatchSynchronousBatch) {
       async_decisions.push_back(future.get());
     }
 
-    CompletenessService reference(MakeOptions(/*workers=*/0, /*cache=*/0,
-                                              /*coalesce=*/false));
+    CompletenessService reference(MakeOptions(/*workers=*/0, /*cache=*/0));
     ASSERT_OK_AND_ASSIGN(ref_handle, reference.RegisterSetting(fx.setting));
     std::vector<Decision> sync_decisions =
-        reference.SubmitBatch(ref_handle, workload);
+        reference.SubmitBatch(ForSetting(ref_handle, workload));
     ExpectSameDecisions(sync_decisions, async_decisions);
   }
 }
@@ -243,7 +238,7 @@ TEST(ServiceTest, AsyncCompletionCallbackDelivers) {
                       });
   Decision decision = delivered.get_future().get();
   ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
-  EXPECT_EQ(decision.answer, service.Decide(handle, request).answer);
+  EXPECT_EQ(decision.answer, service.Decide({handle, request}).answer);
 }
 
 TEST(ServiceTest, ReentrantSubmissionFromCallbackDoesNotDeadlock) {
@@ -265,7 +260,8 @@ TEST(ServiceTest, ReentrantSubmissionFromCallbackDoesNotDeadlock) {
   service.SubmitAsync(
       ServiceRequest{handle, first},
       [&service, &done, handle, second](Decision outer) {
-        std::vector<Decision> nested = service.SubmitBatch(handle, {second});
+        std::vector<Decision> nested =
+            service.SubmitBatch({ServiceRequest{handle, second}});
         done.set_value({std::move(outer), std::move(nested[0])});
       });
   std::future<std::pair<Decision, Decision>> future = done.get_future();
@@ -275,7 +271,7 @@ TEST(ServiceTest, ReentrantSubmissionFromCallbackDoesNotDeadlock) {
   auto [outer, nested] = future.get();
   ASSERT_TRUE(outer.status.ok()) << outer.status.ToString();
   ASSERT_TRUE(nested.status.ok()) << nested.status.ToString();
-  EXPECT_EQ(nested.answer, service.Decide(handle, second).answer);
+  EXPECT_EQ(nested.answer, service.Decide({handle, second}).answer);
 }
 
 TEST(ServiceTest, CoalescedDuplicateBatchRecordsOneMiss) {
@@ -290,7 +286,8 @@ TEST(ServiceTest, CoalescedDuplicateBatchRecordsOneMiss) {
     ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 
     std::vector<DecisionRequest> batch(8, request);
-    std::vector<Decision> decisions = service.SubmitBatch(handle, batch);
+    std::vector<Decision> decisions =
+        service.SubmitBatch(ForSetting(handle, batch));
     ASSERT_EQ(decisions.size(), 8u);
     size_t coalesced = 0;
     for (size_t i = 0; i < decisions.size(); ++i) {
@@ -321,8 +318,8 @@ TEST(ServiceTest, CoalescingWorksWithMemoizationDisabled) {
 
   CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/0));
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
-  std::vector<Decision> decisions =
-      service.SubmitBatch(handle, std::vector<DecisionRequest>(4, request));
+  std::vector<Decision> decisions = service.SubmitBatch(
+      ForSetting(handle, std::vector<DecisionRequest>(4, request)));
   ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
   // No LRU, but batch dedup still collapses the four to one computation.
   EXPECT_EQ(counters.cache_misses, 1u);
@@ -345,7 +342,7 @@ TEST(ServiceTest, WitnessPropagatesThroughService) {
   request.cinstance = CInstance::FromInstance(fx.ground);
   request.want_witness = true;
 
-  Decision decision = service.Decide(handle, request);
+  Decision decision = service.Decide({handle, request});
   ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
   EXPECT_FALSE(decision.answer);
   ASSERT_NE(decision.witness, nullptr);
@@ -360,14 +357,14 @@ TEST(ServiceTest, WitnessPropagatesThroughService) {
   EXPECT_EQ(decision.witness->note, direct.note);
 
   // Cached replays keep carrying the witness.
-  Decision cached = service.Decide(handle, request);
+  Decision cached = service.Decide({handle, request});
   EXPECT_TRUE(cached.from_cache);
   ASSERT_NE(cached.witness, nullptr);
   EXPECT_EQ(cached.witness->note, direct.note);
 
   // Witness-less runs are keyed separately and stay lean.
   request.want_witness = false;
-  Decision lean = service.Decide(handle, request);
+  Decision lean = service.Decide({handle, request});
   EXPECT_FALSE(lean.from_cache);
   EXPECT_EQ(lean.witness, nullptr);
 }
@@ -382,7 +379,7 @@ TEST(ServiceTest, ViableWitnessReportsCompleteWorld) {
   request.query = fx.by_patient;
   request.cinstance = fx.audited;
   request.want_witness = true;
-  Decision decision = service.Decide(handle, request);
+  Decision decision = service.Decide({handle, request});
   ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
   if (decision.answer) {
     ASSERT_NE(decision.witness, nullptr);
@@ -456,8 +453,8 @@ TEST(ServiceTest, PerSettingCacheCapacityOverride) {
     // first, second, first, second: with capacity 1 every access evicts
     // the other entry — four misses; with room for both, two hits.
     for (int round = 0; round < 2; ++round) {
-      service.Decide(handle, first);
-      service.Decide(handle, second);
+      service.Decide({handle, first});
+      service.Decide({handle, second});
     }
   };
   alternate(tiny_fx, tiny);
@@ -487,11 +484,11 @@ TEST(ServiceTest, TotalCountersEqualsPerShardSumAfterMixedTraffic) {
   std::vector<DecisionRequest> workload_b = AuditWorkload(fx_b);
 
   // Sync + batch with duplicates.
-  service.Decide(handle_a, workload_a[0]);
+  service.Decide({handle_a, workload_a[0]});
   std::vector<DecisionRequest> dup_batch = workload_a;
   dup_batch.push_back(workload_a[0]);
   dup_batch.push_back(workload_a[0]);
-  service.SubmitBatch(handle_a, dup_batch);
+  service.SubmitBatch(ForSetting(handle_a, dup_batch));
 
   // Async futures on the other shard.
   std::vector<std::future<Decision>> futures;
@@ -553,10 +550,10 @@ TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
   ASSERT_OK_AND_ASSIGN(plain, service.RegisterSetting(fx.setting));
   DecisionRequest tiny = fx.Request();
   tiny.options.max_steps = 1;
-  Decision exhausted = service.Decide(plain, tiny);
+  Decision exhausted = service.Decide({plain, tiny});
   EXPECT_EQ(exhausted.status.code(), StatusCode::kResourceExhausted)
       << exhausted.status.ToString();
-  EXPECT_TRUE(service.Decide(plain, fx.Request()).status.ok());
+  EXPECT_TRUE(service.Decide({plain, fx.Request()}).status.ok());
 
   // Per shard: requests that leave max_steps at the built-in default
   // inherit the shard's default; an explicit per-request budget wins.
@@ -568,12 +565,12 @@ TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
   ASSERT_OK_AND_ASSIGN(shard, service.RegisterSetting(fx_b.setting, starved));
   ASSERT_OK_AND_ASSIGN(resolved, service.shard_options(shard));
   EXPECT_EQ(resolved.max_steps, 1u);
-  Decision shard_limited = service.Decide(shard, fx_b.Request());
+  Decision shard_limited = service.Decide({shard, fx_b.Request()});
   EXPECT_EQ(shard_limited.status.code(), StatusCode::kResourceExhausted)
       << "ShardOptions::max_steps never reached the decider";
   DecisionRequest explicit_budget = fx_b.Request();
   explicit_budget.options.max_steps = 500'000;
-  Decision roomy = service.Decide(shard, explicit_budget);
+  Decision roomy = service.Decide({shard, explicit_budget});
   EXPECT_TRUE(roomy.status.ok())
       << "an explicit per-request budget must override the shard default: "
       << roomy.status.ToString();
@@ -591,8 +588,8 @@ TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {
   DecisionRequest tiny = fx.Request();
   tiny.options.max_steps = 1;
 
-  Decision first = service.Decide(handle, tiny);
-  Decision second = service.Decide(handle, tiny);
+  Decision first = service.Decide({handle, tiny});
+  Decision second = service.Decide({handle, tiny});
   EXPECT_EQ(first.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(second.status.code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(first.from_cache);
@@ -613,65 +610,264 @@ TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {
   // caches normally afterwards.
   DecisionRequest roomy = tiny;
   roomy.options.max_steps = SearchOptions::kDefaultMaxSteps;
-  EXPECT_TRUE(service.Decide(handle, roomy).status.ok());
-  EXPECT_TRUE(service.Decide(handle, roomy).from_cache);
+  EXPECT_TRUE(service.Decide({handle, roomy}).status.ok());
+  EXPECT_TRUE(service.Decide({handle, roomy}).from_cache);
 }
 
 TEST(ServiceTest, RequestLevelCancelTokenSurvivesSchedMerge) {
-  // A DecisionRequest's own options.cancel must keep working on the
-  // non-coalesced path even when the submission also carries a (live)
-  // sched token — the two merge either-cancels, not last-writer-wins.
+  // A DecisionRequest's own options.cancel must keep working on every path
+  // even when the submission also carries a (live) sched token — the two
+  // merge either-cancels, not last-writer-wins.
   testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/8,
                                                      /*vars=*/3);
-  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0,
-                                          /*coalesce=*/false));
-  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+  for (const ServiceOptions& options :
+       {ServiceOptions{}, MakeOptions(/*workers=*/0, /*cache=*/64)}) {
+    CompletenessService service(options);
+    ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 
-  sched::CancelSource poisoned;
-  poisoned.Cancel();
-  sched::CancelSource live;  // valid, never cancelled
-  ServiceRequest request{handle, fx.Request()};
-  request.request.options.cancel = poisoned.token();
-  request.request.options.checkpoint_interval = 1;
-  request.sched.cancel = live.token();
-  Decision decision = service.Decide(request);
-  EXPECT_EQ(decision.status.code(), StatusCode::kCancelled)
-      << "the request-level token was dropped in the sched merge: "
-      << decision.status.ToString();
+    sched::CancelSource poisoned;
+    poisoned.Cancel();
+    sched::CancelSource live;  // valid, never cancelled
+    ServiceRequest request{handle, fx.Request()};
+    request.request.options.cancel = poisoned.token();
+    request.request.options.checkpoint_interval = 1;
+    request.sched.cancel = live.token();
 
-  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
-  EXPECT_EQ(counters.cancelled, 1u);
-  EXPECT_EQ(counters.cache_misses, 0u);
-  EXPECT_EQ(counters.requests,
-            counters.cache_hits + counters.cache_misses + counters.rejected +
-                counters.expired + counters.cancelled);
+    std::vector<Decision> decisions;
+    decisions.push_back(service.Decide(request));
+    decisions.push_back(service.SubmitAsync(request).get());
+    for (Decision& decision : service.SubmitBatch({request, request})) {
+      decisions.push_back(std::move(decision));
+    }
+    for (const Decision& decision : decisions) {
+      EXPECT_EQ(decision.status.code(), StatusCode::kCancelled)
+          << "the request-level token was dropped in the sched merge: "
+          << decision.status.ToString();
+    }
+
+    // Cancelled while the evaluation runs: the request's own token reaches
+    // the decider's checkpoints through the flight group.
+    sched::CancelSource midway;
+    SearchOptions::SearchProgressFn cancel_at_first_checkpoint =
+        [&midway](const char*, uint64_t) { midway.Cancel(); };
+    ServiceRequest running{handle, fx.Request()};
+    running.request.options.cancel = midway.token();
+    running.request.options.checkpoint_interval = 1;
+    running.request.options.progress = &cancel_at_first_checkpoint;
+    running.sched.cancel = live.token();
+    Decision aborted = service.Decide(running);
+    EXPECT_EQ(aborted.status.code(), StatusCode::kCancelled)
+        << aborted.status.ToString();
+
+    ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+    EXPECT_EQ(counters.requests, 5u);
+    EXPECT_EQ(counters.cancelled, 5u);
+    EXPECT_EQ(counters.cache_misses, 0u);
+    EXPECT_EQ(counters.shed_running, 1u);
+    EXPECT_EQ(counters.requests,
+              counters.cache_hits + counters.cache_misses + counters.rejected +
+                  counters.expired + counters.cancelled);
+  }
 }
 
-TEST(ServiceTest, EngineAdapterMatchesService) {
-  // The deprecated single-setting engine is a shim over the service: same
-  // answers, same counters semantics.
-  AuditFixture fx = MakeAuditFixture();
-  std::vector<DecisionRequest> workload = AuditWorkload(fx);
+// Decider agreement, cache admission and counter accounting.
 
-  EngineOptions engine_options;
-  engine_options.num_workers = 2;
-  engine_options.cache_capacity = 128;
-  ASSERT_OK_AND_ASSIGN(engine,
-                       CompletenessEngine::Create(fx.setting, engine_options));
-  std::vector<Decision> via_engine = engine->SubmitBatch(workload);
-
-  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/128));
+TEST(ServiceTest, BatchAgreesWithDirectDeciderCalls) {
+  PatientsFixture fx = MakePatientsFixture();
+  CompletenessService service(MakeOptions(/*workers=*/4, /*cache=*/64));
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
-  std::vector<Decision> via_service = service.SubmitBatch(handle, workload);
-  ExpectSameDecisions(via_engine, via_service);
 
-  // The adapter exposes its backing registration.
-  EXPECT_TRUE(engine->handle().valid());
-  EXPECT_EQ(engine->service().num_settings(), 1u);
-  Decision async = engine->SubmitAsync(workload[0]).get();
-  EXPECT_EQ(async.status.code(), via_engine[0].status.code());
-  if (async.status.ok()) {
-    EXPECT_EQ(async.answer, via_engine[0].answer);
+  DecisionRequest strong;
+  strong.kind = ProblemKind::kRcdpStrong;
+  strong.query = fx.q1;
+  strong.cinstance = fx.ctable;
+  DecisionRequest weak;
+  weak.kind = ProblemKind::kRcdpWeak;
+  weak.query = fx.q4;
+  weak.cinstance = fx.ctable;
+  std::vector<Decision> decisions =
+      service.SubmitBatch(ForSetting(handle, {strong, weak}));
+
+  ASSERT_OK_AND_ASSIGN(direct_strong, RcdpStrong(fx.q1, fx.ctable, fx.setting));
+  ASSERT_OK_AND_ASSIGN(direct_weak, RcdpWeak(fx.q4, fx.ctable, fx.setting));
+  ASSERT_TRUE(decisions[0].status.ok()) << decisions[0].status.ToString();
+  ASSERT_TRUE(decisions[1].status.ok()) << decisions[1].status.ToString();
+  EXPECT_EQ(decisions[0].answer, direct_strong);
+  EXPECT_EQ(decisions[1].answer, direct_weak);
+  // Example 2.3 / 2.4: Q1 strongly complete, Q4 weakly but not strongly.
+  EXPECT_TRUE(decisions[0].answer);
+  EXPECT_TRUE(decisions[1].answer);
+}
+
+TEST(ServiceTest, AdmissionFilterAtCapacityOneProtectsTheHotEntry) {
+  // The shard cache's frequency-sketch admission at capacity 1: a ONE-SHOT
+  // candidate does not flush a hot resident entry — it must first be seen
+  // as often as the victim it would displace.
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/1));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest a;
+  a.kind = ProblemKind::kRcdpStrong;
+  a.query = fx.by_patient;
+  a.cinstance = fx.audited;
+  DecisionRequest b = a;
+  b.query = fx.all_cities;
+
+  EXPECT_FALSE(service.Decide({handle, a}).from_cache);  // miss: {A}
+  EXPECT_TRUE(service.Decide({handle, a}).from_cache);   // hit: A is hot
+  // B computes but is refused admission: it has been seen less often than
+  // the resident A it would evict.
+  EXPECT_FALSE(service.Decide({handle, b}).from_cache);  // miss; not cached
+  EXPECT_TRUE(service.Decide({handle, a}).from_cache);   // A survived
+  // A second B matches A's frequency: admitted, displacing A.
+  EXPECT_FALSE(service.Decide({handle, b}).from_cache);  // miss: {B}
+  EXPECT_TRUE(service.Decide({handle, b}).from_cache);   // hit
+  EXPECT_FALSE(service.Decide({handle, a}).from_cache);  // A was evicted
+
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.requests, 7u);
+  EXPECT_EQ(counters.cache_hits, 3u);
+  EXPECT_EQ(counters.cache_misses, 4u);
+  EXPECT_EQ(counters.admission_rejects, 1u);  // B's refused first insert
+  EXPECT_GE(counters.evictions, 1u);          // A displaced by the hot B
+  EXPECT_GT(counters.cache_bytes, 0u);
+
+  // ClearCache drops the memoized results but preserves the counters.
+  EXPECT_OK(service.ClearCache(handle));
+  EXPECT_FALSE(service.Decide({handle, a}).from_cache);
+  ASSERT_OK_AND_ASSIGN(after, service.counters(handle));
+  EXPECT_EQ(after.requests, 8u);
+  EXPECT_EQ(after.cache_hits, 3u);
+  EXPECT_EQ(after.cache_misses, 5u);
+}
+
+TEST(ServiceTest, CapacityZeroNeverHitsAndStillCountsWork) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.by_patient;
+  request.cinstance = fx.audited;
+
+  EXPECT_FALSE(service.Decide({handle, request}).from_cache);
+  EXPECT_FALSE(service.Decide({handle, request}).from_cache);
+  EXPECT_OK(service.ClearCache(handle));  // no-op with no cache, stays safe
+  EXPECT_FALSE(service.Decide({handle, request}).from_cache);
+
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.requests, 3u);
+  EXPECT_EQ(counters.cache_hits, 0u);
+  // Misses count real evaluations even with memoization off.
+  EXPECT_EQ(counters.cache_misses, 3u);
+}
+
+TEST(ServiceTest, UndecidableKindsReportErrorsInCounters) {
+  PatientsFixture fx = MakePatientsFixture();
+  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  // An FO query with negation: RCDP weak is undecidable (Theorem 5.1).
+  FoPtr formula = FoFormula::Not(FoFormula::Atom(
+      RelAtom{"MVisit",
+              {CTerm(VarId{0}), CTerm(VarId{1}), CTerm(VarId{2}),
+               CTerm(VarId{3}), CTerm(VarId{4}), CTerm(VarId{5}),
+               CTerm(VarId{6}), CTerm(VarId{7})}}));
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpWeak;
+  request.query = Query::Fo(FoQuery({VarId{0}}, std::move(formula)));
+  request.cinstance = fx.ctable;
+
+  Decision decision = service.Decide({handle, request});
+  EXPECT_EQ(decision.status.code(), StatusCode::kUndecidable);
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.errors, 1u);
+}
+
+TEST(ServiceTest, RcqpKindsShareVerdictAcrossInstances) {
+  PatientsFixture fx = MakePatientsFixture();
+  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest with_table;
+  with_table.kind = ProblemKind::kRcqpWeak;
+  with_table.query = fx.q1;
+  with_table.cinstance = fx.ctable;
+  DecisionRequest with_empty = with_table;
+  with_empty.cinstance = CInstance(fx.setting.schema);
+
+  // RCQP quantifies over all instances, so the audited instance is not part
+  // of the memoization key.
+  ASSERT_OK_AND_ASSIGN(key_table,
+                       service.FingerprintRequest(handle, with_table));
+  ASSERT_OK_AND_ASSIGN(key_empty,
+                       service.FingerprintRequest(handle, with_empty));
+  EXPECT_EQ(key_table, key_empty);
+  Decision first = service.Decide({handle, with_table});
+  Decision second = service.Decide({handle, with_empty});
+  ASSERT_TRUE(first.status.ok());
+  EXPECT_TRUE(first.answer);  // Theorem 5.4: monotone ⇒ always true
+  EXPECT_TRUE(second.from_cache);
+}
+
+TEST(ServiceTest, CountersAggregatePerRequestStats) {
+  PatientsFixture fx = MakePatientsFixture();
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.q1;
+  request.cinstance = fx.ctable;
+  Decision first = service.Decide({handle, request});
+  Decision second = service.Decide({handle, request});
+  ASSERT_TRUE(first.status.ok());
+  ASSERT_TRUE(second.status.ok());
+
+  // With memoization off both runs do real work; the shard counters are
+  // the field-wise sum of the per-request stats.
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.search.valuations,
+            first.stats.valuations + second.stats.valuations);
+  EXPECT_EQ(counters.search.query_evals,
+            first.stats.query_evals + second.stats.query_evals);
+  EXPECT_GT(counters.search.valuations, 0u);
+}
+
+TEST(ServiceTest, SearchStatsMergeAccumulatesFieldWise) {
+  SearchStats a;
+  a.valuations = 1;
+  a.worlds = 2;
+  a.extensions = 3;
+  a.cc_checks = 4;
+  a.query_evals = 5;
+  SearchStats b = a;
+  b.Merge(a);
+  EXPECT_EQ(b.valuations, 2u);
+  EXPECT_EQ(b.worlds, 4u);
+  EXPECT_EQ(b.extensions, 6u);
+  EXPECT_EQ(b.cc_checks, 8u);
+  EXPECT_EQ(b.query_evals, 10u);
+  b += a;
+  EXPECT_EQ(b.valuations, 3u);
+  EXPECT_EQ(b.query_evals, 15u);
+}
+
+TEST(ServiceTest, ProblemKindNamesRoundTrip) {
+  EXPECT_EQ(AllProblemKinds().size(), 8u);
+  for (ProblemKind kind : AllProblemKinds()) {
+    ASSERT_OK_AND_ASSIGN(parsed, ParseProblemKind(ProblemKindName(kind)));
+    EXPECT_EQ(parsed, kind);
+  }
+  Result<ProblemKind> bogus = ParseProblemKind("rcdp-bogus");
+  ASSERT_FALSE(bogus.ok());
+  // The error names every valid kind, so CLI users see their options.
+  for (ProblemKind kind : AllProblemKinds()) {
+    EXPECT_NE(bogus.status().message().find(ProblemKindName(kind)),
+              std::string::npos)
+        << bogus.status().message();
   }
 }
 

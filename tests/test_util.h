@@ -10,6 +10,7 @@
 #include "data/instance.h"
 #include "query/query.h"
 #include "service/decision.h"
+#include "service/service.h"
 
 namespace relcomp {
 namespace testing {
@@ -35,7 +36,18 @@ inline PartiallyClosedSetting OpenSetting(DatabaseSchema schema) {
   return setting;
 }
 
-/// A narrow MDM-audit fixture shared by the engine and service tests:
+/// A workload addressed to one registered setting.
+inline std::vector<ServiceRequest> ForSetting(
+    SettingHandle handle, const std::vector<DecisionRequest>& requests) {
+  std::vector<ServiceRequest> batch;
+  batch.reserve(requests.size());
+  for (const DecisionRequest& request : requests) {
+    batch.push_back(ServiceRequest{handle, request});
+  }
+  return batch;
+}
+
+/// A narrow MDM-audit fixture shared by the service-level tests:
 /// IND-bounded visits over a 4-patient master, where every problem kind —
 /// including RCQP strong and the weak models — is cheap. `city_offset`
 /// varies the finite city domain so two fixtures give
