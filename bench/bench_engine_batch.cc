@@ -106,7 +106,8 @@ void BM_Cold_IndependentCalls(benchmark::State& state) {
       MakeWorkload(audited, kDistinctQueries, /*repeat=*/1);
   for (auto _ : state) {
     for (const DecisionRequest& request : workload) {
-      Decision decision = DecideCold(request, setting);
+      Decision decision =
+          EvaluateRequest(request, PreparedSetting::Borrow(setting));
       benchmark::DoNotOptimize(decision);
     }
   }

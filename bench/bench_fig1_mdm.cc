@@ -20,7 +20,8 @@ void BM_Fig1_Consistency(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
   for (auto _ : state) {
-    auto r = IsConsistent(fx.setting, fx.ctable, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = IsConsistent(prepared, fx.ctable, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -30,7 +31,8 @@ void BM_Fig1_Q1Strong(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
   for (auto _ : state) {
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpStrong(fx.q1, fx.ctable, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -40,7 +42,8 @@ void BM_Fig1_Q4Weak(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 0);
   for (auto _ : state) {
-    auto r = RcdpWeak(fx.q4, fx.ctable, fx.setting, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpWeak(fx.q4, fx.ctable, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -50,7 +53,8 @@ void BM_Fig1_Q4Viable(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
   for (auto _ : state) {
-    auto r = RcdpViable(fx.q4, fx.ctable, fx.setting, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpViable(fx.q4, fx.ctable, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -71,7 +75,8 @@ void BM_Fig1_GroundQ2Completeness(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 0);
   for (auto _ : state) {
-    auto r = RcdpStrongGround(fx.q2, fx.ground, fx.acquisition, BigBudget());
+    const PreparedSetting acquisition = PreparedSetting::Borrow(fx.acquisition);
+    auto r = RcdpStrongGround(fx.q2, fx.ground, acquisition, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }

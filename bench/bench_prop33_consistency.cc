@@ -19,7 +19,8 @@ void BM_ConsistencyVsQuantifiedVars(benchmark::State& state) {
   options.max_steps = 1ull << 40;
   for (auto _ : state) {
     SearchStats stats;
-    auto r = IsConsistent(gadget.setting, gadget.cinstance, options, &stats);
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = IsConsistent(prepared, gadget.cinstance, options, &stats);
     benchmark::DoNotOptimize(r);
     state.counters["valuations"] = static_cast<double>(stats.valuations);
   }
@@ -32,7 +33,8 @@ void BM_ExtensibilityVsQuantifiedVars(benchmark::State& state) {
   GadgetProblem gadget = BuildExtensibilityGadget(qbf);
   for (auto _ : state) {
     SearchStats stats;
-    auto r = IsExtensible(gadget.setting, gadget.ground, {}, &stats);
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = IsExtensible(prepared, gadget.ground, {}, &stats);
     benchmark::DoNotOptimize(r);
     state.counters["extensions"] = static_cast<double>(stats.extensions);
   }
@@ -45,7 +47,8 @@ void BM_ConsistencyVsExistsBlock(benchmark::State& state) {
   Qbf qbf = MakeForallExists(2, ny, RandomCnf3(2 + ny, 3, 11));
   GadgetProblem gadget = BuildConsistencyGadget(qbf);
   for (auto _ : state) {
-    auto r = IsConsistent(gadget.setting, gadget.cinstance);
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = IsConsistent(prepared, gadget.cinstance);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -68,7 +71,8 @@ void BM_ConsistencyDataComplexity(benchmark::State& state) {
   }
   gadget.setting.dm = std::move(padded);
   for (auto _ : state) {
-    auto r = IsConsistent(gadget.setting, gadget.cinstance);
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = IsConsistent(prepared, gadget.cinstance);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));

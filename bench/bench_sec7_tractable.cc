@@ -20,7 +20,8 @@ void BM_RcdpStrongTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
   for (auto _ : state) {
-    auto r = RcdpStrongTractable(fx.q1, fx.ctable, fx.setting, 8, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpStrongTractable(fx.q1, fx.ctable, prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -31,7 +32,8 @@ void BM_RcdpWeakTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
   for (auto _ : state) {
-    auto r = RcdpWeakTractable(fx.q1, fx.ctable, fx.setting, 8, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpWeakTractable(fx.q1, fx.ctable, prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -42,7 +44,8 @@ void BM_RcdpViableTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
   for (auto _ : state) {
-    auto r = RcdpViableTractable(fx.q4, fx.ctable, fx.setting, 8, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpViableTractable(fx.q4, fx.ctable, prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -59,7 +62,8 @@ void BM_MinpWeakCqTractable_VsMaster(benchmark::State& state) {
   }
   CInstance empty(fx.setting.schema);
   for (auto _ : state) {
-    auto r = MinpWeakCqTractable(fx.q1, empty, fx.setting, 8, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = MinpWeakCqTractable(fx.q1, empty, prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -73,7 +77,8 @@ void BM_Contrast_ExponentialInVars(benchmark::State& state) {
       MakeScaledPatientsFixture(2, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget(), &stats);
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpStrong(fx.q1, fx.ctable, prepared, BigBudget(), &stats);
     benchmark::DoNotOptimize(r);
     state.counters["worlds"] = static_cast<double>(stats.worlds);
   }

@@ -28,7 +28,8 @@ void BM_RcdpStrong_PatientsVsVars(benchmark::State& state) {
       MakeScaledPatientsFixture(2, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget(), &stats);
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpStrong(fx.q1, fx.ctable, prepared, BigBudget(), &stats);
     benchmark::DoNotOptimize(r);
     state.counters["worlds"] = static_cast<double>(stats.worlds);
   }
@@ -40,7 +41,8 @@ void BM_RcdpStrong_PatientsVsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
   for (auto _ : state) {
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+    auto r = RcdpStrong(fx.q1, fx.ctable, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -54,8 +56,9 @@ void BM_MinpStrong_CInstance(benchmark::State& state) {
   GadgetProblem gadget = BuildSigma3Gadget(qbf, /*full_rs=*/true);
   for (auto _ : state) {
     SearchStats stats;
-    auto r = MinpStrong(gadget.query, gadget.cinstance, gadget.setting,
-                        BigBudget(), &stats);
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = MinpStrong(gadget.query, gadget.cinstance, prepared, BigBudget(),
+                        &stats);
     benchmark::DoNotOptimize(r);
     state.counters["valuations"] = static_cast<double>(stats.valuations);
   }
@@ -72,8 +75,8 @@ void BM_MinpStrong_Ground(benchmark::State& state) {
   for (VarId v : gadget.cinstance.Vars()) mu.Bind(v, Value::Int(1));
   Instance ground = *gadget.cinstance.Apply(mu);
   for (auto _ : state) {
-    auto r = MinpStrongGround(gadget.query, ground, gadget.setting,
-                              BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = MinpStrongGround(gadget.query, ground, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -90,7 +93,8 @@ void BM_RcqpStrong_BoundedSearch(benchmark::State& state) {
       ConjunctiveQuery({CTerm(VarId{0})}, {RelAtom{"B", {VarId{0}}}}));
   size_t bound = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto r = RcqpStrongBounded(q, setting, bound, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(setting);
+    auto r = RcqpStrongBounded(q, prepared, bound, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -113,7 +117,8 @@ void BM_RcqpStrong_IndPtime(benchmark::State& state) {
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(VarId{0})}, {RelAtom{"Visit", {VarId{0}, VarId{1}}}}));
   for (auto _ : state) {
-    auto r = RcqpStrongInd(q, setting);
+    const PreparedSetting prepared = PreparedSetting::Borrow(setting);
+    auto r = RcqpStrongInd(q, prepared);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));

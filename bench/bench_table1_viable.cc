@@ -27,8 +27,9 @@ void BM_RcdpViable_CInstance(benchmark::State& state) {
   GadgetProblem gadget = MakeGadget(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpViable(gadget.query, gadget.cinstance, gadget.setting,
-                        BigBudget(), &stats);
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = RcdpViable(gadget.query, gadget.cinstance, prepared, BigBudget(),
+                        &stats);
     benchmark::DoNotOptimize(r);
     state.counters["worlds"] = static_cast<double>(stats.worlds);
   }
@@ -41,8 +42,8 @@ void BM_RcdpViable_Ground(benchmark::State& state) {
   for (VarId v : gadget.cinstance.Vars()) mu.Bind(v, Value::Int(1));
   Instance ground = *gadget.cinstance.Apply(mu);
   for (auto _ : state) {
-    auto r = RcdpStrongGround(gadget.query, ground, gadget.setting,
-                              BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = RcdpStrongGround(gadget.query, ground, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -51,8 +52,8 @@ BENCHMARK(BM_RcdpViable_Ground)->DenseRange(1, 3, 1);
 void BM_MinpViable_CInstance(benchmark::State& state) {
   GadgetProblem gadget = MakeGadget(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto r = MinpViable(gadget.query, gadget.cinstance, gadget.setting,
-                        BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = MinpViable(gadget.query, gadget.cinstance, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -64,8 +65,8 @@ void BM_MinpViable_Ground(benchmark::State& state) {
   for (VarId v : gadget.cinstance.Vars()) mu.Bind(v, Value::Int(1));
   Instance ground = *gadget.cinstance.Apply(mu);
   for (auto _ : state) {
-    auto r = MinpStrongGround(gadget.query, ground, gadget.setting,
-                              BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = MinpStrongGround(gadget.query, ground, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }

@@ -28,8 +28,9 @@ void BM_RcdpWeak_Sigma3Gadget(benchmark::State& state) {
   GadgetProblem gadget = BuildRcdpWeakGadget(qbf);
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpWeakGround(gadget.query, gadget.ground, gadget.setting,
-                            BigBudget(), &stats);
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = RcdpWeakGround(gadget.query, gadget.ground, prepared, BigBudget(),
+                            &stats);
     benchmark::DoNotOptimize(r);
     state.counters["extensions"] = static_cast<double>(stats.extensions);
   }
@@ -42,8 +43,8 @@ void BM_RcdpWeak_FpCircuit(benchmark::State& state) {
   Circuit c = RandomCircuit(inputs, 5, 17, /*force_taut=*/true);
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
   for (auto _ : state) {
-    auto r = RcdpWeakGround(gadget.query, gadget.ground, gadget.setting,
-                            BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = RcdpWeakGround(gadget.query, gadget.ground, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -72,8 +73,8 @@ void BM_MinpWeak_CqDichotomy(benchmark::State& state) {
   GadgetProblem gadget = BuildSatUnsatGadget(RandomCnf3(n, 2, 19),
                                              RandomCnf3(n, 2, 23), n);
   for (auto _ : state) {
-    auto r = MinpWeakCq(gadget.query, gadget.cinstance, gadget.setting,
-                        BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
+    auto r = MinpWeakCq(gadget.query, gadget.cinstance, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -110,7 +111,8 @@ void BM_MinpWeak_SubsetRemoval(benchmark::State& state) {
     t.at("B").AddRow({Cell(Value::Int(i % 2)), Cell(Value::Int((i / 2) % 2))});
   }
   for (auto _ : state) {
-    auto r = MinpWeak(q, t, setting, BigBudget());
+    const PreparedSetting prepared = PreparedSetting::Borrow(setting);
+    auto r = MinpWeak(q, t, prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }

@@ -45,12 +45,6 @@ AdomSeed AdomContext::SeedFor(const PartiallyClosedSetting& setting) {
   return seed;
 }
 
-AdomContext AdomContext::Build(const PartiallyClosedSetting& setting,
-                               const CInstance& cinstance, const Query* query,
-                               AdomOptions options) {
-  return BuildFromSeed(SeedFor(setting), cinstance, query, options);
-}
-
 AdomContext AdomContext::BuildFromSeed(const AdomSeed& seed,
                                        const CInstance& cinstance,
                                        const Query* query,
@@ -84,12 +78,6 @@ AdomContext AdomContext::BuildFromSeed(const AdomSeed& seed,
   AddAll(&ctx.values_, ctx.fresh_);
   SortUnique(&ctx.values_);
   return ctx;
-}
-
-AdomContext AdomContext::BuildForGround(const PartiallyClosedSetting& setting,
-                                        const Instance& instance,
-                                        const Query* query, AdomOptions options) {
-  return Build(setting, CInstance::FromInstance(instance), query, options);
 }
 
 }  // namespace relcomp

@@ -32,27 +32,16 @@ struct AdomSeed {
 /// The finite active domain for a given (T, Dm, V, Q) combination.
 class AdomContext {
  public:
-  /// Builds Adom for c-instance `T` in `setting`, optionally folding in the
-  /// constants and variables of `query`.
-  static AdomContext Build(const PartiallyClosedSetting& setting,
-                           const CInstance& cinstance, const Query* query,
-                           AdomOptions options = {});
-
   /// Precomputes the setting-level seed used by BuildFromSeed.
   static AdomSeed SeedFor(const PartiallyClosedSetting& setting);
 
-  /// Builds Adom from a cached seed plus the per-call contributions of the
-  /// c-instance and query. Equivalent to Build when the seed matches the
-  /// setting.
+  /// Builds Adom for c-instance `T` from the seed of its setting, optionally
+  /// folding in the constants and variables of `query`.
+  /// PreparedSetting::BuildAdom and BuildAdomForGround wrap this with the
+  /// setting's cached seed.
   static AdomContext BuildFromSeed(const AdomSeed& seed,
                                    const CInstance& cinstance,
                                    const Query* query, AdomOptions options = {});
-
-  /// Convenience overload for ground instances.
-  static AdomContext BuildForGround(const PartiallyClosedSetting& setting,
-                                    const Instance& instance,
-                                    const Query* query,
-                                    AdomOptions options = {});
 
   /// S ∪ New ∪ df, sorted and unique.
   const std::vector<Value>& values() const { return values_; }

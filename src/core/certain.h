@@ -6,8 +6,8 @@
 
 #include "core/adom.h"
 #include "core/enumerate.h"
-#include "core/types.h"
 #include "core/prepared_setting.h"
+#include "core/types.h"
 
 namespace relcomp {
 
@@ -22,10 +22,6 @@ struct CertainAnswersResult {
 Result<CertainAnswersResult> CertainAnswers(
     const Query& q, const CInstance& cinstance,
     const PreparedSetting& prepared, const AdomContext& adom,
-    const SearchOptions& options = {}, SearchStats* stats = nullptr);
-Result<CertainAnswersResult> CertainAnswers(
-    const Query& q, const CInstance& cinstance,
-    const PartiallyClosedSetting& setting, const AdomContext& adom,
     const SearchOptions& options = {}, SearchStats* stats = nullptr);
 
 }  // namespace relcomp

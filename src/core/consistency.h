@@ -12,18 +12,13 @@
 
 #include "core/adom.h"
 #include "core/enumerate.h"
-#include "core/types.h"
 #include "core/prepared_setting.h"
+#include "core/types.h"
 
 namespace relcomp {
 
 /// Decides whether Mod(T, Dm, V) ≠ ∅; optionally returns a witness world.
 Result<bool> IsConsistent(const PreparedSetting& prepared,
-                          const CInstance& cinstance,
-                          const SearchOptions& options = {},
-                          SearchStats* stats = nullptr,
-                          Instance* witness_world = nullptr);
-Result<bool> IsConsistent(const PartiallyClosedSetting& setting,
                           const CInstance& cinstance,
                           const SearchOptions& options = {},
                           SearchStats* stats = nullptr,
@@ -37,11 +32,6 @@ struct ExtensionWitness {
 
 /// Decides whether Ext(I, Dm, V) ≠ ∅ for a ground instance I.
 Result<bool> IsExtensible(const PreparedSetting& prepared,
-                          const Instance& instance,
-                          const SearchOptions& options = {},
-                          SearchStats* stats = nullptr,
-                          ExtensionWitness* witness = nullptr);
-Result<bool> IsExtensible(const PartiallyClosedSetting& setting,
                           const Instance& instance,
                           const SearchOptions& options = {},
                           SearchStats* stats = nullptr,

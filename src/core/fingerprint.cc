@@ -64,7 +64,7 @@ uint64_t FingerprintInstance(const Instance& instance) {
 uint64_t FingerprintCInstance(const CInstance& cinstance) {
   // The textual rendering covers rows, variables and conditions; row order
   // within a c-table is load order, which is part of identity here (the
-  // engine memoizes per concrete request object).
+  // service caches per concrete request object).
   StableHasher h;
   MixSchema(&h, cinstance.schema());
   h.Mix(cinstance.ToString());

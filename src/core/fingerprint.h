@@ -1,7 +1,7 @@
-// Stable fingerprints of settings, c-instances and queries, used as engine
-// memoization keys. Fingerprints are built from canonical text renderings
-// (symbol names, not interner ids) so they are reproducible across runs and
-// independent of interning order.
+// Stable fingerprints of settings, c-instances and queries, used as service
+// cache and coalescing keys. Fingerprints are built from canonical text
+// renderings (symbol names, not interner ids) so they are reproducible across
+// runs and independent of interning order.
 #ifndef RELCOMP_CORE_FINGERPRINT_H_
 #define RELCOMP_CORE_FINGERPRINT_H_
 

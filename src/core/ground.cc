@@ -7,13 +7,6 @@ Result<bool> IsPartiallyClosed(const PreparedSetting& prepared,
   return prepared.SatisfiesCCs(instance);
 }
 
-Result<bool> IsPartiallyClosed(const PartiallyClosedSetting& setting,
-                               const Instance& instance) {
-  // One-shot check: deriving the prepared artifacts (Adom seed, master
-  // projections) would cost more than the single CC pass they amortize.
-  return SatisfiesCCs(instance, setting.dm, setting.ccs);
-}
-
 Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
                               const PreparedSetting& prepared,
                               const AdomContext& adom,
@@ -86,15 +79,6 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
   return true;
 }
 
-Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
-                              const AdomContext& adom,
-                              const SearchOptions& options, SearchStats* stats,
-                              CompletenessWitness* witness) {
-  return IsCompleteGround(q, instance, PreparedSetting::Borrow(setting), adom,
-                          options, stats, witness);
-}
-
 Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
                                   const PreparedSetting& prepared,
                                   const SearchOptions& options,
@@ -103,15 +87,6 @@ Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
   return IsCompleteGround(q, instance, prepared, adom, options, stats,
                           witness);
-}
-
-Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
-                                  const PartiallyClosedSetting& setting,
-                                  const SearchOptions& options,
-                                  SearchStats* stats,
-                                  CompletenessWitness* witness) {
-  return IsCompleteGroundAuto(q, instance, PreparedSetting::Borrow(setting),
-                              options, stats, witness);
 }
 
 }  // namespace relcomp

@@ -8,15 +8,13 @@
 
 #include "core/adom.h"
 #include "core/enumerate.h"
-#include "core/types.h"
 #include "core/prepared_setting.h"
+#include "core/types.h"
 
 namespace relcomp {
 
 /// Is the ground instance I partially closed w.r.t. (Dm, V)?
 Result<bool> IsPartiallyClosed(const PreparedSetting& prepared,
-                               const Instance& instance);
-Result<bool> IsPartiallyClosed(const PartiallyClosedSetting& setting,
                                const Instance& instance);
 
 /// Is the ground instance I complete for the monotone query `q` relative to
@@ -29,21 +27,10 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
                               const SearchOptions& options = {},
                               SearchStats* stats = nullptr,
                               CompletenessWitness* witness = nullptr);
-Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
-                              const AdomContext& adom,
-                              const SearchOptions& options = {},
-                              SearchStats* stats = nullptr,
-                              CompletenessWitness* witness = nullptr);
 
 /// Convenience wrappers that build the Adom internally.
 Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
                                   const PreparedSetting& prepared,
-                                  const SearchOptions& options = {},
-                                  SearchStats* stats = nullptr,
-                                  CompletenessWitness* witness = nullptr);
-Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
-                                  const PartiallyClosedSetting& setting,
                                   const SearchOptions& options = {},
                                   SearchStats* stats = nullptr,
                                   CompletenessWitness* witness = nullptr);

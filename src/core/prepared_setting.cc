@@ -16,8 +16,8 @@ std::shared_ptr<PreparedSetting::Artifacts> PreparedSetting::Derive(
     Result<Relation> projected = cc.ProjectMaster(setting.dm);
     if (!projected.ok()) {
       // Unknown master in an unvalidated (borrowed) setting: fall back to
-      // the unprepared check at use time so legacy error ordering — later
-      // CCs untouched once an earlier one fails — is preserved exactly.
+      // the unprepared check at use time so the free SatisfiesCCs's error
+      // ordering — later CCs untouched once an earlier one fails — holds.
       a->cc_projections.emplace_back();
       a->cc_projection_ok.push_back(0);
       continue;
@@ -51,7 +51,7 @@ Result<PreparedSetting> PreparedSetting::Prepare(PartiallyClosedSetting setting,
   a->fingerprint = fingerprint;
   a->fingerprinted = true;
   PreparedSetting prepared(std::move(a));
-  prepared.adom_seed();  // warm the seed: the engine serves many requests
+  prepared.adom_seed();  // warm the seed: a registered setting serves many
   return prepared;
 }
 

@@ -1,12 +1,11 @@
-// PreparedSetting: a partially closed setting (Dm, V) validated once, with
-// every derived artifact the deciders otherwise recompute per call cached up
-// front — the setting-level Adom seed, the IND classification of the CCs
-// (Corollary 7.2), and the projected master relations π_cols(Dm[Rm]) used on
-// the hot path of every CC check. The core deciders accept a PreparedSetting
-// directly; the legacy PartiallyClosedSetting entry points wrap their
-// argument in a borrowed (unvalidated) PreparedSetting, so both APIs share
-// one implementation. The batch engine (src/engine/) serves many requests
-// over one PreparedSetting.
+// PreparedSetting: a partially closed setting (Dm, V) together with every
+// derived artifact the deciders would otherwise recompute per call — the
+// setting-level Adom seed, the IND classification of the CCs (Corollary
+// 7.2), and the projected master relations π_cols(Dm[Rm]) used on the hot
+// path of every CC check. It is the one way a setting reaches a decider:
+// every core entry point takes a `const PreparedSetting&`. Prepare validates
+// and owns a copy (what the service registers per setting shard); Borrow
+// wraps a caller-owned setting without validating it, for one-shot callers.
 //
 // A PreparedSetting is a cheap, shareable handle (copying copies one
 // shared_ptr); it is immutable after construction and safe to use from many
@@ -27,7 +26,7 @@ class PreparedSetting {
  public:
   /// Validates `setting` (schema/CC well-formedness) and prepares all
   /// derived artifacts. The setting is copied into the handle, so the
-  /// result is self-contained — the right entry point for engines serving
+  /// result is self-contained — the right entry point for a service serving
   /// many requests.
   static Result<PreparedSetting> Prepare(PartiallyClosedSetting setting);
 
@@ -38,9 +37,9 @@ class PreparedSetting {
                                          uint64_t fingerprint);
 
   /// Prepares the artifacts without validating and without copying the
-  /// setting; `setting` must outlive the handle. Used by the legacy
-  /// PartiallyClosedSetting decider entry points, which historically did not
-  /// validate either.
+  /// setting; `setting` must outlive the handle. The explicit way to hand a
+  /// raw setting to a decider; CCs naming a master relation missing from Dm
+  /// fall back to the unprepared check (see SatisfiesCCs).
   static PreparedSetting Borrow(const PartiallyClosedSetting& setting);
 
   const PartiallyClosedSetting& setting() const { return *a_->setting; }
@@ -55,7 +54,7 @@ class PreparedSetting {
   bool all_inds() const { return a_->all_inds; }
 
   /// Cached setting-level Adom contribution. Computed on first use (and
-  /// eagerly by Prepare): legacy one-shot paths that only need CC checks —
+  /// eagerly by Prepare): borrowed one-shot paths that only need CC checks —
   /// e.g. a ModEnumerator built around an existing AdomContext — never pay
   /// the O(|Dm| log |Dm|) constant scan. Thread-safe.
   const AdomSeed& adom_seed() const;
@@ -70,8 +69,9 @@ class PreparedSetting {
   /// Stable fingerprint of (R, Rm, Dm, V); memoization key component.
   uint64_t fingerprint() const;
 
-  /// (I, Dm) ⊨ V using the cached master projections — the prepared
-  /// replacement for SatisfiesCCs(I, dm(), ccs()).
+  /// (I, Dm) ⊨ V using the cached master projections; same result and
+  /// status as the free SatisfiesCCs(I, dm(), ccs()), which it falls back to
+  /// per CC whose projection failed.
   Result<bool> SatisfiesCCs(const Instance& instance) const;
 
   /// Adom builds reusing the cached seed.

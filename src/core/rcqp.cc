@@ -113,13 +113,6 @@ Result<RcqpSearchResult> RcqpStrongBounded(
   return searcher.Run();
 }
 
-Result<RcqpSearchResult> RcqpStrongBounded(
-    const Query& q, const PartiallyClosedSetting& setting, size_t max_tuples,
-    const SearchOptions& options, SearchStats* stats) {
-  return RcqpStrongBounded(q, PreparedSetting::Borrow(setting), max_tuples,
-                           options, stats);
-}
-
 bool IsBoundedDisjunct(const ConjunctiveQuery& disjunct,
                        const DatabaseSchema& schema, const CCSet& ccs) {
   // Positions of `var` in the tableau: (relation, column) pairs.
@@ -221,12 +214,6 @@ Result<bool> RcqpStrongInd(const Query& q,
     if (has_valid) return false;
   }
   return true;
-}
-
-Result<bool> RcqpStrongInd(const Query& q,
-                           const PartiallyClosedSetting& setting,
-                           const SearchOptions& options, SearchStats* stats) {
-  return RcqpStrongInd(q, PreparedSetting::Borrow(setting), options, stats);
 }
 
 }  // namespace relcomp

@@ -231,11 +231,6 @@ Decision EvaluateRequest(const DecisionRequest& request,
   return decision;
 }
 
-Decision DecideCold(const DecisionRequest& request,
-                    const PartiallyClosedSetting& setting) {
-  return EvaluateRequest(request, PreparedSetting::Borrow(setting));
-}
-
 RequestCacheKey RequestKeyFor(const PreparedSetting& prepared,
                               const DecisionRequest& request) {
   // Serialize the request's canonical material once; both digests then mix

@@ -72,7 +72,8 @@ struct Decision {
   /// delivery: a cache hit or coalesced waiter reports ITS OWN wait, not
   /// the original evaluation's (and a restored snapshot entry is re-stamped
   /// at serve time — the field is never persisted). 0 when the decision
-  /// never went through the service (DecideCold, hand-built decisions).
+  /// never went through the service (direct EvaluateRequest calls,
+  /// hand-built decisions).
   uint64_t latency_micros = 0;
   /// Per-loop search attribution for the evaluation that produced this
   /// decision (null on cache hits, coalesced copies, sheds, and decisions
@@ -138,21 +139,16 @@ struct EngineCounters {
 
 /// THE kind→decider dispatch table: decides one request against a prepared
 /// setting, with witness plumbing. No cache, no counters — service shards
-/// and DecideCold both call this one function, so a new ProblemKind is
-/// wired up in exactly one place. `options_override`, when given, replaces
-/// the request's own SearchOptions for this evaluation — the service uses
+/// call this one function, and so does a cold baseline that passes
+/// PreparedSetting::Borrow(setting), so a new ProblemKind is wired up in
+/// exactly one place. `options_override`, when given, replaces the
+/// request's own SearchOptions for this evaluation — the service uses
 /// it to inject the flight group's joint cancellation token and shared run
 /// deadline, and per-shard step-budget defaults, without copying the
 /// (heavy) request.
 Decision EvaluateRequest(const DecisionRequest& request,
                          const PreparedSetting& prepared,
                          const SearchOptions* options_override = nullptr);
-
-/// Decides one request by per-call preparation of the raw setting — the
-/// cold baseline the CLI's --compare mode and the batch benchmark measure
-/// the service against.
-Decision DecideCold(const DecisionRequest& request,
-                    const PartiallyClosedSetting& setting);
 
 /// Two independently-seeded digests of one request under one setting: a
 /// 64-bit fingerprint alone would hand a colliding request another

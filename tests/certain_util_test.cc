@@ -30,15 +30,17 @@ struct BoolFixture {
                              std::vector<int>{0});
     q = Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"B", {V(0)}}}));
   }
+
+  PreparedSetting prepared() const { return PreparedSetting::Borrow(setting); }
 };
 
 TEST(CertainAnswersTest, GroundInstanceIsItsOwnCertainty) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(1))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
+  AdomContext adom = fx.prepared().BuildAdom(t, &fx.q);
   ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+                       CertainAnswers(fx.q, t, fx.prepared(), adom));
   EXPECT_TRUE(result.mod_nonempty);
   EXPECT_EQ(result.answers.size(), 1u);
   EXPECT_TRUE(result.answers.Contains({I(1)}));
@@ -50,9 +52,9 @@ TEST(CertainAnswersTest, VariableRowIntersectsToConstantPart) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
   t.at("B").AddRow({Cell(I(1))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
+  AdomContext adom = fx.prepared().BuildAdom(t, &fx.q);
   ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+                       CertainAnswers(fx.q, t, fx.prepared(), adom));
   EXPECT_TRUE(result.mod_nonempty);
   EXPECT_EQ(result.answers.size(), 1u);
   EXPECT_TRUE(result.answers.Contains({I(1)}));
@@ -62,9 +64,9 @@ TEST(CertainAnswersTest, LoneVariableHasNoCertainAnswers) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
+  AdomContext adom = fx.prepared().BuildAdom(t, &fx.q);
   ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+                       CertainAnswers(fx.q, t, fx.prepared(), adom));
   EXPECT_TRUE(result.mod_nonempty);
   EXPECT_TRUE(result.answers.empty());
 }
@@ -75,9 +77,9 @@ TEST(CertainAnswersTest, InconsistentCInstanceReported) {
   fx.setting.dm.at("Bm").Erase({I(1)});
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
+  AdomContext adom = fx.prepared().BuildAdom(t, &fx.q);
   ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+                       CertainAnswers(fx.q, t, fx.prepared(), adom));
   EXPECT_FALSE(result.mod_nonempty);
 }
 
@@ -86,9 +88,9 @@ TEST(CertainAnswersTest, ConditionRestrictsWorlds) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow(CRow{{Cell(V(0))}, Condition::VarNeqConst(V(0), I(0))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
+  AdomContext adom = fx.prepared().BuildAdom(t, &fx.q);
   ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+                       CertainAnswers(fx.q, t, fx.prepared(), adom));
   EXPECT_TRUE(result.mod_nonempty);
   // Worlds: x=0 drops the row → {}; x=1 → {1}. Intersection is empty.
   EXPECT_TRUE(result.answers.empty());

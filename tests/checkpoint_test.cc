@@ -166,11 +166,12 @@ TEST(DeciderCheckpointTest, RcqpBoundedSearchAborts) {
   fx.setting.ccs.emplace_back("edi_known", std::move(edi_visitors),
                               "Patientm", std::vector<int>{0});
   ASSERT_FALSE(AllInds(fx.setting.ccs));
+  PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
   Result<RcqpSearchResult> cancelled = RcqpStrongBounded(
-      fx.by_patient, fx.setting, /*max_tuples=*/2, WithPoisonedCancel());
+      fx.by_patient, prepared, /*max_tuples=*/2, WithPoisonedCancel());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
   Result<RcqpSearchResult> expired = RcqpStrongBounded(
-      fx.by_patient, fx.setting, /*max_tuples=*/2, WithExpiredDeadline());
+      fx.by_patient, prepared, /*max_tuples=*/2, WithExpiredDeadline());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -214,7 +215,7 @@ TEST(DeciderCheckpointTest, GroundCertainAndConsistencySearchesAbort) {
   EXPECT_EQ(certain.status().code(), StatusCode::kDeadlineExceeded);
 
   Result<BoundedSearchResult> bounded = SearchIncompletenessGround(
-      fx.by_patient, ground, fx.setting, /*max_added_tuples=*/2,
+      fx.by_patient, ground, prepared, /*max_added_tuples=*/2,
       WithPoisonedCancel());
   EXPECT_EQ(bounded.status().code(), StatusCode::kCancelled);
 }
@@ -249,9 +250,9 @@ TEST(MidRunAbortTest, ConcurrentCancelStopsASlowSearchWithPartialStats) {
   request.options.cancel = source.token();
 
   SearchStats stats;
+  PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
   std::future<Result<bool>> running = std::async(std::launch::async, [&] {
-    return RcdpStrong(fx.query, fx.audited, fx.setting, request.options,
-                      &stats);
+    return RcdpStrong(fx.query, fx.audited, prepared, request.options, &stats);
   });
   // Let the search get properly inside the loop, then cancel.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -35,6 +35,8 @@ struct VisitFixture {
     q_edi = Query::Cq(ConjunctiveQuery(
         {CTerm(V(0))}, {RelAtom{"Visit", {V(0), S("EDI")}}}));
   }
+
+  PreparedSetting prepared() const { return PreparedSetting::Borrow(setting); }
 };
 
 TEST(GroundCompletenessTest, CompleteWhenAllMasterRowsPresent) {
@@ -43,7 +45,7 @@ TEST(GroundCompletenessTest, CompleteWhenAllMasterRowsPresent) {
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   db.AddTuple("Visit", {S("n2"), S("EDI")});
   ASSERT_OK_AND_ASSIGN(complete,
-                       IsCompleteGroundAuto(fx.q_edi, db, fx.setting));
+                       IsCompleteGroundAuto(fx.q_edi, db, fx.prepared()));
   EXPECT_TRUE(complete);
 }
 
@@ -52,8 +54,9 @@ TEST(GroundCompletenessTest, IncompleteWhenMasterRowMissing) {
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   CompletenessWitness witness;
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(fx.q_edi, db, fx.setting,
-                                                      {}, nullptr, &witness));
+  ASSERT_OK_AND_ASSIGN(complete,
+                       IsCompleteGroundAuto(fx.q_edi, db, fx.prepared(), {},
+                                            nullptr, &witness));
   EXPECT_FALSE(complete);
   // The witness extension adds the missing n2 visit.
   EXPECT_EQ(witness.answer, Tuple({S("n2")}));
@@ -65,7 +68,8 @@ TEST(GroundCompletenessTest, OpenWorldQueryNeverComplete) {
       {CTerm(V(0))}, {RelAtom{"Visit", {V(0), S("LON")}}}));
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("n1"), S("LON")});
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q_lon, db, fx.setting));
+  ASSERT_OK_AND_ASSIGN(complete,
+                       IsCompleteGroundAuto(q_lon, db, fx.prepared()));
   EXPECT_FALSE(complete);  // London is unconstrained: new names can appear
 }
 
@@ -74,7 +78,7 @@ TEST(GroundCompletenessTest, NotPartiallyClosedIsNotComplete) {
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("unknown"), S("EDI")});  // violates the CC
   ASSERT_OK_AND_ASSIGN(complete,
-                       IsCompleteGroundAuto(fx.q_edi, db, fx.setting));
+                       IsCompleteGroundAuto(fx.q_edi, db, fx.prepared()));
   EXPECT_FALSE(complete);
 }
 
@@ -91,7 +95,7 @@ TEST(GroundCompletenessTest, UcqDisjunctsAllChecked) {
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   db.AddTuple("Visit", {S("n2"), S("EDI")});
   ASSERT_OK_AND_ASSIGN(
-      complete, IsCompleteGroundAuto(Query::Ucq(ucq), db, fx.setting));
+      complete, IsCompleteGroundAuto(Query::Ucq(ucq), db, fx.prepared()));
   EXPECT_FALSE(complete);
 }
 
@@ -99,14 +103,14 @@ TEST(GroundCompletenessTest, FoAndFpAreUndecidable) {
   VisitFixture fx;
   Instance db(fx.setting.schema);
   FoQuery fo({}, FoFormula::Not(FoFormula::Atom({"Visit", {S("a"), S("b")}})));
-  Result<bool> r = IsCompleteGroundAuto(Query::Fo(fo), db, fx.setting);
+  Result<bool> r = IsCompleteGroundAuto(Query::Fo(fo), db, fx.prepared());
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUndecidable);
 
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"Visit", {V(0), V(1)}}}, {}});
   p.set_output("T");
-  Result<bool> r2 = IsCompleteGroundAuto(Query::Fp(p), db, fx.setting);
+  Result<bool> r2 = IsCompleteGroundAuto(Query::Fp(p), db, fx.prepared());
   EXPECT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kUndecidable);
 }
@@ -118,7 +122,7 @@ TEST(GroundCompletenessTest, EmptyInstanceCompleteForContradictoryQuery) {
       {CTerm(V(0))}, {RelAtom{"Visit", {V(0), V(1)}}},
       {CondAtom{V(1), false, S("EDI")}, CondAtom{V(1), false, S("LON")}}));
   Instance db(fx.setting.schema);
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q, db, fx.setting));
+  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q, db, fx.prepared()));
   EXPECT_TRUE(complete);
 }
 
@@ -136,9 +140,10 @@ TEST_P(Prop31Sweep, FdImplicationMatchesArmstrong) {
   phi.rhs = static_cast<int>((GetParam() / 2) % kAttrs);
   GadgetProblem gadget = BuildFdImplicationGadget(theta, phi, kAttrs);
   EXPECT_OK(gadget.setting.Validate());
+  const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
       complete,
-      IsCompleteGroundAuto(gadget.query, gadget.ground, gadget.setting));
+      IsCompleteGroundAuto(gadget.query, gadget.ground, prepared));
   bool implied = FdImplies(theta, phi, kAttrs);
   EXPECT_EQ(complete, implied)
       << "theta[0]=" << (theta.empty() ? "-" : theta[0].ToString())

@@ -1,13 +1,15 @@
 // PreparedSetting: cached artifacts must be indistinguishable from per-call
-// recomputation — same Adom, same CC verdicts, same decider answers — and
-// fingerprints must be stable and discriminating.
+// recomputation — same Adom, same CC verdicts, same decider answers — a
+// borrowed (unvalidated, lazily seeded) handle must decide exactly like a
+// prepared (validated, eagerly seeded, owning) one, and fingerprints must be
+// stable and discriminating.
 #include <gtest/gtest.h>
 
+#include "core/fingerprint.h"
 #include "core/minp.h"
+#include "core/prepared_setting.h"
 #include "core/rcdp.h"
 #include "core/rcqp.h"
-#include "core/fingerprint.h"
-#include "core/prepared_setting.h"
 #include "reductions/examples_fig1.h"
 #include "test_util.h"
 
@@ -31,21 +33,24 @@ TEST(PreparedSettingTest, PrepareValidatesTheSetting) {
   EXPECT_FALSE(PreparedSetting::Prepare(broken).ok());
 }
 
-TEST(PreparedSettingTest, AdomFromSeedMatchesDirectBuild) {
+TEST(PreparedSettingTest, CachedSeedBuildAdomMatchesFreshSeed) {
+  // BuildAdom over the handle's cached seed equals BuildFromSeed over a
+  // seed computed from the raw setting, for c-instances and ground ones.
   PatientsFixture fx = MakePatientsFixture();
   AdomSeed seed = AdomContext::SeedFor(fx.setting);
-  for (const Query* q : {&fx.q1, &fx.q2, &fx.q4}) {
-    AdomContext direct = AdomContext::Build(fx.setting, fx.ctable, q);
-    AdomContext seeded = AdomContext::BuildFromSeed(seed, fx.ctable, q);
-    EXPECT_EQ(direct.values(), seeded.values());
-    EXPECT_EQ(direct.base(), seeded.base());
-    EXPECT_EQ(direct.fresh(), seeded.fresh());
-  }
-  // And through the PreparedSetting convenience.
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
-  AdomContext via_prepared = prepared.BuildAdom(fx.ctable, &fx.q1);
-  AdomContext direct = AdomContext::Build(fx.setting, fx.ctable, &fx.q1);
-  EXPECT_EQ(direct.values(), via_prepared.values());
+  const CInstance ground = CInstance::FromInstance(fx.ground);
+  for (const Query* q : {&fx.q1, &fx.q2, &fx.q4}) {
+    AdomContext seeded = AdomContext::BuildFromSeed(seed, fx.ctable, q);
+    AdomContext via_prepared = prepared.BuildAdom(fx.ctable, q);
+    EXPECT_EQ(seeded.values(), via_prepared.values());
+    EXPECT_EQ(seeded.base(), via_prepared.base());
+    EXPECT_EQ(seeded.fresh(), via_prepared.fresh());
+
+    AdomContext seeded_ground = AdomContext::BuildFromSeed(seed, ground, q);
+    AdomContext via_ground = prepared.BuildAdomForGround(fx.ground, q);
+    EXPECT_EQ(seeded_ground.values(), via_ground.values());
+  }
 }
 
 TEST(PreparedSettingTest, CachedProjectionsMatchDirectCcChecks) {
@@ -66,45 +71,86 @@ TEST(PreparedSettingTest, CachedProjectionsMatchDirectCcChecks) {
   }
 }
 
-TEST(PreparedSettingTest, DecidersAgreeBetweenPreparedAndLegacyEntryPoints) {
+TEST(PreparedSettingTest, DecidersAgreeBetweenBorrowedAndPreparedSettings) {
   PatientsFixture fx = MakePatientsFixture();
+  const PreparedSetting borrowed = PreparedSetting::Borrow(fx.setting);
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
   for (const Query* q : {&fx.q1, &fx.q2, &fx.q4}) {
-    ASSERT_OK_AND_ASSIGN(legacy_strong, RcdpStrong(*q, fx.ctable, fx.setting));
+    ASSERT_OK_AND_ASSIGN(borrowed_strong, RcdpStrong(*q, fx.ctable, borrowed));
     ASSERT_OK_AND_ASSIGN(prep_strong, RcdpStrong(*q, fx.ctable, prepared));
-    EXPECT_EQ(legacy_strong, prep_strong) << (*q).ToString();
+    EXPECT_EQ(borrowed_strong, prep_strong) << (*q).ToString();
 
-    ASSERT_OK_AND_ASSIGN(legacy_viable, RcdpViable(*q, fx.ctable, fx.setting));
+    ASSERT_OK_AND_ASSIGN(borrowed_viable, RcdpViable(*q, fx.ctable, borrowed));
     ASSERT_OK_AND_ASSIGN(prep_viable, RcdpViable(*q, fx.ctable, prepared));
-    EXPECT_EQ(legacy_viable, prep_viable) << (*q).ToString();
+    EXPECT_EQ(borrowed_viable, prep_viable) << (*q).ToString();
 
-    ASSERT_OK_AND_ASSIGN(legacy_minp,
-                         MinpStrongGround(*q, fx.ground, fx.setting));
+    ASSERT_OK_AND_ASSIGN(borrowed_minp,
+                         MinpStrongGround(*q, fx.ground, borrowed));
     ASSERT_OK_AND_ASSIGN(prep_minp, MinpStrongGround(*q, fx.ground, prepared));
-    EXPECT_EQ(legacy_minp, prep_minp) << (*q).ToString();
+    EXPECT_EQ(borrowed_minp, prep_minp) << (*q).ToString();
   }
-  ASSERT_OK_AND_ASSIGN(legacy_weak, RcdpWeak(fx.q4, fx.ctable, fx.setting));
+  ASSERT_OK_AND_ASSIGN(borrowed_weak, RcdpWeak(fx.q4, fx.ctable, borrowed));
   ASSERT_OK_AND_ASSIGN(prep_weak, RcdpWeak(fx.q4, fx.ctable, prepared));
-  EXPECT_EQ(legacy_weak, prep_weak);
+  EXPECT_EQ(borrowed_weak, prep_weak);
 }
 
-TEST(PreparedSettingTest, SearchStatsIdenticalAcrossEntryPoints) {
-  // The prepared path must do the same logical work, not just reach the
-  // same answer: every counter agrees with the legacy path.
+TEST(PreparedSettingTest, SearchStatsIdenticalForBorrowedAndPreparedSettings) {
+  // Validation, the eager seed and the owned copy must not change the
+  // logical work, only where it is paid: every counter agrees.
   PatientsFixture fx = MakePatientsFixture();
+  const PreparedSetting borrowed = PreparedSetting::Borrow(fx.setting);
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
-  SearchStats legacy_stats, prep_stats;
-  ASSERT_OK_AND_ASSIGN(legacy,
-                       RcdpStrong(fx.q1, fx.ctable, fx.setting, {},
-                                  &legacy_stats));
+  SearchStats borrowed_stats, prep_stats;
+  ASSERT_OK_AND_ASSIGN(borrowed_answer,
+                       RcdpStrong(fx.q1, fx.ctable, borrowed, {},
+                                  &borrowed_stats));
   ASSERT_OK_AND_ASSIGN(prep,
                        RcdpStrong(fx.q1, fx.ctable, prepared, {}, &prep_stats));
-  EXPECT_EQ(legacy, prep);
-  EXPECT_EQ(legacy_stats.valuations, prep_stats.valuations);
-  EXPECT_EQ(legacy_stats.worlds, prep_stats.worlds);
-  EXPECT_EQ(legacy_stats.extensions, prep_stats.extensions);
-  EXPECT_EQ(legacy_stats.cc_checks, prep_stats.cc_checks);
-  EXPECT_EQ(legacy_stats.query_evals, prep_stats.query_evals);
+  EXPECT_EQ(borrowed_answer, prep);
+  EXPECT_EQ(borrowed_stats.valuations, prep_stats.valuations);
+  EXPECT_EQ(borrowed_stats.worlds, prep_stats.worlds);
+  EXPECT_EQ(borrowed_stats.extensions, prep_stats.extensions);
+  EXPECT_EQ(borrowed_stats.cc_checks, prep_stats.cc_checks);
+  EXPECT_EQ(borrowed_stats.query_evals, prep_stats.query_evals);
+}
+
+TEST(PreparedSettingTest, BorrowedUnknownMasterFallsBackToTheFreeCheck) {
+  // A borrowed setting is not validated, so a CC may name a master relation
+  // missing from Dm. Its projection cannot be cached; SatisfiesCCs checks
+  // that CC the unprepared way and must report what the free function does.
+  PartiallyClosedSetting setting;
+  setting.schema.AddRelation(
+      RelationSchema("Visit", {Attribute{"nhs", Domain::Infinite()}}));
+  setting.master_schema.AddRelation(
+      RelationSchema("Patientm", {Attribute{"nhs", Domain::Infinite()}}));
+  setting.dm = Instance(setting.master_schema);
+  setting.dm.AddTuple("Patientm", {S("p0")});
+  for (const char* master : {"Patientm", "Ghostm"}) {
+    ConjunctiveQuery proj({CTerm(VarId{0})}, {RelAtom{"Visit", {VarId{0}}}});
+    setting.ccs.emplace_back(std::string("into_") + master, std::move(proj),
+                             master, std::vector<int>{0});
+  }
+  EXPECT_FALSE(PreparedSetting::Prepare(setting).ok());
+  const PreparedSetting borrowed = PreparedSetting::Borrow(setting);
+
+  // The known CC holds, so both checks reach the broken one and fail alike.
+  Instance known(setting.schema);
+  known.AddTuple("Visit", {S("p0")});
+  Result<bool> direct = SatisfiesCCs(known, setting.dm, setting.ccs);
+  Result<bool> cached = borrowed.SatisfiesCCs(known);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(cached.status().code(), direct.status().code());
+  EXPECT_EQ(cached.status().message(), direct.status().message());
+
+  // An earlier violated CC settles the answer before the broken CC is seen.
+  Instance stranger(setting.schema);
+  stranger.AddTuple("Visit", {S("p1")});
+  ASSERT_OK_AND_ASSIGN(direct_closed,
+                       SatisfiesCCs(stranger, setting.dm, setting.ccs));
+  ASSERT_OK_AND_ASSIGN(cached_closed, borrowed.SatisfiesCCs(stranger));
+  EXPECT_FALSE(direct_closed);
+  EXPECT_FALSE(cached_closed);
 }
 
 TEST(PreparedSettingTest, FingerprintsAreStableAndDiscriminating) {
@@ -143,12 +189,14 @@ TEST(PreparedSettingTest, AllIndsClassificationIsCached) {
                        std::vector<int>{0});
   ASSERT_OK_AND_ASSIGN(prepared_ind, PreparedSetting::Prepare(ind));
   EXPECT_TRUE(prepared_ind.all_inds());
+  const PreparedSetting borrowed_ind = PreparedSetting::Borrow(ind);
+  EXPECT_TRUE(borrowed_ind.all_inds());
 
   Query q = Query::Cq(ConjunctiveQuery({CTerm(VarId{0})},
                                        {RelAtom{"Visit", {VarId{0}}}}));
-  ASSERT_OK_AND_ASSIGN(legacy, RcqpStrongInd(q, ind));
+  ASSERT_OK_AND_ASSIGN(borrowed, RcqpStrongInd(q, borrowed_ind));
   ASSERT_OK_AND_ASSIGN(prep, RcqpStrongInd(q, prepared_ind));
-  EXPECT_EQ(legacy, prep);
+  EXPECT_EQ(borrowed, prep);
 }
 
 }  // namespace

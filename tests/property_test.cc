@@ -31,6 +31,8 @@ struct RandomProblem {
   PartiallyClosedSetting setting;
   CInstance cinstance;
   Query query;
+
+  PreparedSetting prepared() const { return PreparedSetting::Borrow(setting); }
 };
 
 RandomProblem MakeRandomProblem(uint64_t seed) {
@@ -83,11 +85,12 @@ class ModelRelations : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ModelRelations, StrongImpliesWeakAndViable) {
   RandomProblem p = MakeRandomProblem(GetParam());
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, p.setting));
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, p.prepared()));
   if (strong) {
-    ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, p.setting));
+    ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, p.prepared()));
     EXPECT_TRUE(weak) << p.cinstance.ToString();
-    ASSERT_OK_AND_ASSIGN(viable, RcdpViable(p.query, p.cinstance, p.setting));
+    ASSERT_OK_AND_ASSIGN(viable,
+                         RcdpViable(p.query, p.cinstance, p.prepared()));
     EXPECT_TRUE(viable) << p.cinstance.ToString();
   }
 }
@@ -99,8 +102,8 @@ TEST_P(ModelRelations, GroundStrongEqualsViable) {
   for (VarId v : p.cinstance.Vars()) mu.Bind(v, I(0));
   ASSERT_OK_AND_ASSIGN(ground, p.cinstance.Apply(mu));
   CInstance gi = CInstance::FromInstance(ground);
-  Result<bool> strong = RcdpStrong(p.query, gi, p.setting);
-  Result<bool> viable = RcdpViable(p.query, gi, p.setting);
+  Result<bool> strong = RcdpStrong(p.query, gi, p.prepared());
+  Result<bool> viable = RcdpViable(p.query, gi, p.prepared());
   ASSERT_TRUE(strong.ok() && viable.ok());
   EXPECT_EQ(*strong, *viable);
 }
@@ -142,8 +145,8 @@ TEST_P(ModelRelations, WeakHoldsWheneverViableAndCertainIsWorldAnswer) {
   // Sanity relationship: a strongly complete instance's certain answers are
   // the common answer of all worlds, so no extension can enlarge them.
   RandomProblem p = MakeRandomProblem(GetParam() + 17000);
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, p.setting));
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, p.setting));
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, p.prepared()));
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, p.prepared()));
   // strong ⇒ weak (contrapositive check).
   EXPECT_TRUE(!strong || weak);
 }

@@ -32,6 +32,8 @@ struct BoolFixture {
                              std::vector<int>{0});
     q = Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"B", {V(0)}}}));
   }
+
+  PreparedSetting prepared() const { return PreparedSetting::Borrow(setting); }
 };
 
 TEST(RcdpStrongTest, FullBooleanRelationIsComplete) {
@@ -39,7 +41,7 @@ TEST(RcdpStrongTest, FullBooleanRelationIsComplete) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.prepared()));
   EXPECT_TRUE(complete);
 }
 
@@ -48,8 +50,8 @@ TEST(RcdpStrongTest, MissingTupleBreaksStrongCompleteness) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   CompletenessWitness witness;
-  ASSERT_OK_AND_ASSIGN(complete,
-                       RcdpStrong(fx.q, t, fx.setting, {}, nullptr, &witness));
+  ASSERT_OK_AND_ASSIGN(
+      complete, RcdpStrong(fx.q, t, fx.prepared(), {}, nullptr, &witness));
   EXPECT_FALSE(complete);
   EXPECT_EQ(witness.answer, Tuple({I(1)}));
 }
@@ -61,7 +63,7 @@ TEST(RcdpStrongTest, VariableRowStillCompleteWhenWorldsCovered) {
   t.at("B").AddRow({Cell(V(0))});
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.prepared()));
   EXPECT_TRUE(complete);
 }
 
@@ -70,7 +72,7 @@ TEST(RcdpStrongTest, VariableRowAloneIsNotStronglyComplete) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.prepared()));
   EXPECT_FALSE(complete);
 }
 
@@ -79,7 +81,7 @@ TEST(RcdpViableTest, VariableRowAloneIsNotViablyCompleteEither) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.prepared()));
   EXPECT_FALSE(viable);
 }
 
@@ -92,8 +94,8 @@ TEST(RcdpViableTest, ConditionCanSelectCompleteWorld) {
   t.at("B").AddRow({Cell(V(0))});
   t.at("B").AddRow({Cell(I(1))});
   Instance witness;
-  ASSERT_OK_AND_ASSIGN(viable,
-                       RcdpViable(fx.q, t, fx.setting, {}, nullptr, &witness));
+  ASSERT_OK_AND_ASSIGN(
+      viable, RcdpViable(fx.q, t, fx.prepared(), {}, nullptr, &witness));
   EXPECT_TRUE(viable);
   EXPECT_TRUE(witness.at("B").Contains({I(1)}));
 }
@@ -106,7 +108,7 @@ TEST(RcdpWeakTest, WeakHoldsWhenCertainAnswersSurvive) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.prepared()));
   EXPECT_FALSE(weak);
 }
 
@@ -115,7 +117,7 @@ TEST(RcdpWeakTest, FullRelationWeaklyComplete) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.prepared()));
   EXPECT_TRUE(weak);  // no extensions at all
 }
 
@@ -126,7 +128,8 @@ TEST(RcdpWeakTest, OpenWorldEmptyInstanceWeaklyComplete) {
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))},
                                        {RelAtom{"E", {V(0), V(1)}}}));
   CInstance t(setting.schema);
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, setting));
+  const PreparedSetting prepared = PreparedSetting::Borrow(setting);
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, prepared));
   EXPECT_TRUE(weak);
 }
 
@@ -145,12 +148,13 @@ TEST(RcdpWeakTest, SingletonWithConstantAnswerNotWeaklyComplete) {
   CInstance t(setting.schema);
   t.at("R1").AddRow({Cell(I(0))});
   t.at("R2").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, setting));
+  const PreparedSetting prepared = PreparedSetting::Borrow(setting);
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, prepared));
   EXPECT_TRUE(weak);
   // The empty instance is also weakly complete (extensions with only R1
   // tuples return ∅) — Example 5.5's point about non-monotone minimality.
   CInstance empty(setting.schema);
-  ASSERT_OK_AND_ASSIGN(weak_empty, RcdpWeak(q, empty, setting));
+  ASSERT_OK_AND_ASSIGN(weak_empty, RcdpWeak(q, empty, prepared));
   EXPECT_TRUE(weak_empty);
 }
 
@@ -161,11 +165,11 @@ TEST(RcdpTest, InconsistentCInstanceRejectedInAllModels) {
   // Deny everything: bound master made empty.
   fx.setting.dm.at("Bm").Erase({I(0)});
   fx.setting.dm.at("Bm").Erase({I(1)});
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, fx.prepared()));
   EXPECT_FALSE(strong);
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.prepared()));
   EXPECT_FALSE(weak);
-  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.prepared()));
   EXPECT_FALSE(viable);
 }
 
@@ -173,19 +177,19 @@ TEST(RcdpTest, UndecidableLanguagesReportStatus) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   FoQuery fo({}, FoFormula::Not(FoFormula::Atom({"B", {I(0)}})));
-  EXPECT_EQ(RcdpStrong(Query::Fo(fo), t, fx.setting).status().code(),
+  EXPECT_EQ(RcdpStrong(Query::Fo(fo), t, fx.prepared()).status().code(),
             StatusCode::kUndecidable);
-  EXPECT_EQ(RcdpWeak(Query::Fo(fo), t, fx.setting).status().code(),
+  EXPECT_EQ(RcdpWeak(Query::Fo(fo), t, fx.prepared()).status().code(),
             StatusCode::kUndecidable);
-  EXPECT_EQ(RcdpViable(Query::Fo(fo), t, fx.setting).status().code(),
+  EXPECT_EQ(RcdpViable(Query::Fo(fo), t, fx.prepared()).status().code(),
             StatusCode::kUndecidable);
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"B", {V(0)}}}, {}});
   p.set_output("T");
-  EXPECT_EQ(RcdpStrong(Query::Fp(p), t, fx.setting).status().code(),
+  EXPECT_EQ(RcdpStrong(Query::Fp(p), t, fx.prepared()).status().code(),
             StatusCode::kUndecidable);
   // FP in the weak model IS decidable (Theorem 5.1).
-  EXPECT_TRUE(RcdpWeak(Query::Fp(p), t, fx.setting).ok());
+  EXPECT_TRUE(RcdpWeak(Query::Fp(p), t, fx.prepared()).ok());
 }
 
 TEST(RcdpTest, GroundStrongEqualsGroundViable) {
@@ -193,13 +197,13 @@ TEST(RcdpTest, GroundStrongEqualsGroundViable) {
   Instance db(fx.setting.schema);
   db.AddTuple("B", {I(0)});
   CInstance t = CInstance::FromInstance(db);
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.prepared()));
   EXPECT_EQ(strong, viable);
   db.AddTuple("B", {I(1)});
   CInstance t2 = CInstance::FromInstance(db);
-  ASSERT_OK_AND_ASSIGN(strong2, RcdpStrong(fx.q, t2, fx.setting));
-  ASSERT_OK_AND_ASSIGN(viable2, RcdpViable(fx.q, t2, fx.setting));
+  ASSERT_OK_AND_ASSIGN(strong2, RcdpStrong(fx.q, t2, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(viable2, RcdpViable(fx.q, t2, fx.prepared()));
   EXPECT_EQ(strong2, viable2);
 }
 
@@ -213,8 +217,9 @@ TEST_P(Thm51Sweep, RcdpWeakMatchesQbfOracle) {
   Qbf qbf = MakeExistsForallExists(1, 2, 1, RandomCnf3(4, 2, GetParam()));
   GadgetProblem gadget = BuildRcdpWeakGadget(qbf);
   EXPECT_OK(gadget.setting.Validate());
+  const PreparedSetting prepared = PreparedSetting::Borrow(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, gadget.setting));
+      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
   // Claim: ϕ true ⇔ I is NOT weakly complete.
   EXPECT_EQ(!weak, qbf.Eval()) << qbf.matrix.ToString();
 }

@@ -350,8 +350,9 @@ TEST(ServiceTest, WitnessPropagatesThroughService) {
 
   // The cross-check: the witness matches what the low-level decider reports.
   CompletenessWitness direct;
+  const PreparedSetting acquisition = PreparedSetting::Borrow(fx.acquisition);
   ASSERT_OK_AND_ASSIGN(
-      answer, RcdpStrong(fx.q3, request.cinstance, fx.acquisition, {}, nullptr,
+      answer, RcdpStrong(fx.q3, request.cinstance, acquisition, {}, nullptr,
                          &direct));
   EXPECT_FALSE(answer);
   EXPECT_EQ(decision.witness->note, direct.note);
@@ -688,8 +689,9 @@ TEST(ServiceTest, BatchAgreesWithDirectDeciderCalls) {
   std::vector<Decision> decisions =
       service.SubmitBatch(ForSetting(handle, {strong, weak}));
 
-  ASSERT_OK_AND_ASSIGN(direct_strong, RcdpStrong(fx.q1, fx.ctable, fx.setting));
-  ASSERT_OK_AND_ASSIGN(direct_weak, RcdpWeak(fx.q4, fx.ctable, fx.setting));
+  const PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+  ASSERT_OK_AND_ASSIGN(direct_strong, RcdpStrong(fx.q1, fx.ctable, prepared));
+  ASSERT_OK_AND_ASSIGN(direct_weak, RcdpWeak(fx.q4, fx.ctable, prepared));
   ASSERT_TRUE(decisions[0].status.ok()) << decisions[0].status.ToString();
   ASSERT_TRUE(decisions[1].status.ok()) << decisions[1].status.ToString();
   EXPECT_EQ(decisions[0].answer, direct_strong);

@@ -27,6 +27,8 @@ struct BoolFixture {
                              std::vector<int>{0});
     q = Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"B", {V(0)}}}));
   }
+
+  PreparedSetting prepared() const { return PreparedSetting::Borrow(setting); }
 };
 
 TEST(TractableTest, RegimeAcceptsFewVariables) {
@@ -58,18 +60,24 @@ TEST(TractableTest, WrappersAgreeWithGeneralDeciders) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(strong_t, RcdpStrongTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(strong_g, RcdpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(strong_t, RcdpStrongTractable(fx.q, t, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(strong_g, RcdpStrong(fx.q, t, fx.prepared()));
   EXPECT_EQ(strong_t, strong_g);
-  ASSERT_OK_AND_ASSIGN(weak_t, RcdpWeakTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(weak_g, RcdpWeak(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(weak_t, RcdpWeakTractable(fx.q, t, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(weak_g, RcdpWeak(fx.q, t, fx.prepared()));
   EXPECT_EQ(weak_t, weak_g);
-  ASSERT_OK_AND_ASSIGN(viable_t, RcdpViableTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(viable_g, RcdpViable(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(viable_t, RcdpViableTractable(fx.q, t, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(viable_g, RcdpViable(fx.q, t, fx.prepared()));
   EXPECT_EQ(viable_t, viable_g);
-  ASSERT_OK_AND_ASSIGN(minp_t, MinpStrongTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(minp_g, MinpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(minp_t, MinpStrongTractable(fx.q, t, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(minp_g, MinpStrong(fx.q, t, fx.prepared()));
   EXPECT_EQ(minp_t, minp_g);
+  ASSERT_OK_AND_ASSIGN(minv_t, MinpViableTractable(fx.q, t, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(minv_g, MinpViable(fx.q, t, fx.prepared()));
+  EXPECT_EQ(minv_t, minv_g);
+  ASSERT_OK_AND_ASSIGN(minw_t, MinpWeakCqTractable(fx.q, t, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(minw_g, MinpWeakCq(fx.q, t, fx.prepared()));
+  EXPECT_EQ(minw_t, minw_g);
 }
 
 TEST(TractableTest, FpAllowedOnlyInWeakModel) {
@@ -79,15 +87,15 @@ TEST(TractableTest, FpAllowedOnlyInWeakModel) {
   p.AddRule(FpRule{{"T", {V(0)}}, {{"B", {V(0)}}}, {}});
   p.set_output("T");
   Query fp = Query::Fp(p);
-  EXPECT_FALSE(RcdpStrongTractable(fp, t, fx.setting).ok());
-  EXPECT_TRUE(RcdpWeakTractable(fp, t, fx.setting).ok());
+  EXPECT_FALSE(RcdpStrongTractable(fp, t, fx.prepared()).ok());
+  EXPECT_TRUE(RcdpWeakTractable(fp, t, fx.prepared()).ok());
 }
 
 TEST(TractableTest, OutOfRegimeFailsLoudly) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   for (int i = 0; i < 6; ++i) t.at("B").AddRow({Cell(V(i))});
-  Result<bool> r = RcdpStrongTractable(fx.q, t, fx.setting, 4);
+  Result<bool> r = RcdpStrongTractable(fx.q, t, fx.prepared(), 4);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -95,8 +103,8 @@ TEST(TractableTest, OutOfRegimeFailsLoudly) {
 TEST(TractableTest, MinpWeakCqWrapper) {
   BoolFixture fx;
   CInstance empty(fx.setting.schema);
-  ASSERT_OK_AND_ASSIGN(min_t, MinpWeakCqTractable(fx.q, empty, fx.setting));
-  ASSERT_OK_AND_ASSIGN(min_g, MinpWeakCq(fx.q, empty, fx.setting));
+  ASSERT_OK_AND_ASSIGN(min_t, MinpWeakCqTractable(fx.q, empty, fx.prepared()));
+  ASSERT_OK_AND_ASSIGN(min_g, MinpWeakCq(fx.q, empty, fx.prepared()));
   EXPECT_EQ(min_t, min_g);
 }
 

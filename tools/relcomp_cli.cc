@@ -783,7 +783,8 @@ int main(int argc, char** argv) {
     for (size_t r = 0; r < cli.repeat; ++r) {
       for (size_t i = 0; i < batch.size(); ++i) {
         const SettingWorkload& load = loads[origin[i].first];
-        Decision cold = DecideCold(batch[i].request, load.setting);
+        Decision cold = EvaluateRequest(batch[i].request,
+                                        PreparedSetting::Borrow(load.setting));
         if (r == 0 && (cold.status.ok() != decisions[i].status.ok() ||
                        (cold.status.ok() &&
                         cold.answer != decisions[i].answer))) {
