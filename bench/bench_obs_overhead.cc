@@ -13,7 +13,7 @@
 //            configurations: dark (metrics off), metrics (the default
 //            production configuration: metrics + windows + profiles), and
 //            full-obs (plus 1-in-1 trace sampling, a trace ring, the
-//            flight-recorder sampler and an armed-but-quiet watchdog).
+//            abort-report renders and an armed-but-quiet watchdog).
 //
 // dark vs metrics bounds the standing cost of the default telemetry;
 // metrics vs full-obs bounds the marginal cost of turning every dial up

@@ -1,6 +1,8 @@
 #include "obs/http_endpoint.h"
 
+#include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 
 namespace relcomp {
@@ -13,27 +15,57 @@ constexpr const char* kPromContentType =
 constexpr const char* kJsonContentType = "application/json";
 constexpr const char* kTextContentType = "text/plain; charset=utf-8";
 
-/// Every routable path. Doubles as the bounded label vocabulary for the
-/// endpoint's own metrics: an unknown path records as "other", so a
-/// scanner probing random URLs cannot grow the label space.
-constexpr const char* kKnownPaths[] = {
-    "/",       "/healthz", "/readyz", "/metrics",      "/metrics.json",
-    "/traces", "/slow",    "/report", "/debug/active",
+/// One routable path. `surface` names the ObsSurfaces callback that
+/// renders the body; it is null for the endpoint's own routes (liveness,
+/// readiness and the index), which Serve answers itself.
+struct Route {
+  const char* path;
+  const char* content_type;
+  std::function<std::string()> ObsSurfaces::*surface;
+  const char* description;
 };
 
-const char* kIndexBody =
-    "relcomp live observability endpoint\n"
-    "\n"
-    "  /metrics        Prometheus text exposition (every registered family)\n"
-    "  /metrics.json   the same dump as JSON (histograms carry p50/p95/p99)\n"
-    "  /traces         finished request traces, Chrome trace-event JSON\n"
-    "                  (load in ui.perfetto.dev or chrome://tracing)\n"
-    "  /slow           worst end-to-end decisions currently retained\n"
-    "  /report         the ObsReport dashboard (vitals, tenants, recorder)\n"
-    "  /debug/active   evaluations running right now, with heartbeat ages\n"
-    "  /healthz        liveness (200 while the endpoint serves)\n"
-    "  /readyz         readiness (200 once settings are registered and the\n"
-    "                  worker pool is live, 503 before)\n";
+/// Every routable path, in index order. Doubles as the bounded label
+/// vocabulary for the endpoint's own metrics: an unknown path records as
+/// "other", so a scanner probing random URLs cannot grow the label space.
+const Route kRoutes[] = {
+    {"/metrics", kPromContentType, &ObsSurfaces::metrics_prometheus,
+     "Prometheus text exposition (every registered family)"},
+    {"/metrics.json", kJsonContentType, &ObsSurfaces::metrics_json,
+     "the same dump as JSON (histograms carry p50/p95/p99)"},
+    {"/traces", kJsonContentType, &ObsSurfaces::traces_json,
+     "finished request traces as Chrome trace-event JSON"},
+    {"/slow", kTextContentType, &ObsSurfaces::slow_text,
+     "worst end-to-end decisions, with search profile and trace"},
+    {"/report", kTextContentType, &ObsSurfaces::report_text,
+     "the ObsReport dashboard (vitals, tenants, active evaluations)"},
+    {"/healthz", kTextContentType, nullptr,
+     "liveness (200 while the endpoint serves)"},
+    {"/readyz", kTextContentType, nullptr,
+     "readiness (200 once settings are registered and the pool is live)"},
+    {"/", kTextContentType, nullptr, "this index"},
+};
+
+const Route* FindRoute(const std::string& path) {
+  for (const Route& route : kRoutes) {
+    if (path == route.path) return &route;
+  }
+  return nullptr;
+}
+
+/// The `/` body: one line per route, rendered once from kRoutes.
+const std::string& IndexBody() {
+  static const std::string body = [] {
+    std::string out = "relcomp live observability endpoint\n\n";
+    for (const Route& route : kRoutes) {
+      std::string path = route.path;
+      path.resize(std::max<size_t>(path.size() + 1, 16), ' ');
+      out += "  " + path + route.description + "\n";
+    }
+    return out;
+  }();
+  return body;
+}
 
 net::HttpResponse TextResponse(int code, const std::string& body,
                                const char* content_type) {
@@ -44,13 +76,30 @@ net::HttpResponse TextResponse(int code, const std::string& body,
   return response;
 }
 
-/// Renders one surface callback, or 503 when it was never wired.
-net::HttpResponse FromSurface(const std::function<std::string()>& surface,
-                              const char* content_type) {
-  if (surface == nullptr) {
-    return TextResponse(503, "503 surface not wired\n", kTextContentType);
+/// Answers a GET or HEAD of `route`; null is an unknown path (404). A
+/// surface that was never wired renders as 503.
+net::HttpResponse Serve(const Route* route, const ObsSurfaces& surfaces) {
+  if (route == nullptr) {
+    return TextResponse(404, "404 " +
+                                 std::string(net::HttpStatusReason(404)) +
+                                 "\n\n" + IndexBody(),
+                        kTextContentType);
   }
-  return TextResponse(200, surface(), content_type);
+  if (route->surface != nullptr) {
+    const std::function<std::string()>& surface = surfaces.*route->surface;
+    if (surface == nullptr) {
+      return TextResponse(503, "503 surface not wired\n", kTextContentType);
+    }
+    return TextResponse(200, surface(), route->content_type);
+  }
+  const std::string path = route->path;
+  if (path == "/readyz") {
+    const bool ready = surfaces.ready == nullptr || surfaces.ready();
+    return ready ? TextResponse(200, "ready\n", kTextContentType)
+                 : TextResponse(503, "not ready\n", kTextContentType);
+  }
+  return TextResponse(200, path == "/healthz" ? "ok\n" : IndexBody(),
+                      route->content_type);
 }
 
 }  // namespace
@@ -67,11 +116,11 @@ Status HttpEndpoint::Start(const ObsHttpOptions& options) {
     // monitoring system should never have to request twice to learn
     // what exists.
     inflight_ = registry_->GetGauge(kMetricHttpInflightRequests);
-    for (const char* path : kKnownPaths) {
+    for (const Route& route : kRoutes) {
       registry_->GetHistogram(kMetricHttpHandlerLatencyMicros,
-                              {{"path", path}});
+                              {{"path", route.path}});
       registry_->GetCounter(kMetricHttpRequestsTotal,
-                            {{"code", "200"}, {"path", path}});
+                            {{"code", "200"}, {"path", route.path}});
     }
   }
   net::HttpServerOptions server_options;
@@ -90,7 +139,7 @@ net::HttpResponse HttpEndpoint::Handle(const net::HttpRequest& request) {
   const auto start = std::chrono::steady_clock::now();
   if (inflight_ != nullptr) inflight_->Add(1);
 
-  const char* path_label = "other";
+  const Route* route = FindRoute(request.Path());
   net::HttpResponse response;
   if (request.method != "GET" && request.method != "HEAD") {
     response = TextResponse(405, "405 " +
@@ -98,10 +147,8 @@ net::HttpResponse HttpEndpoint::Handle(const net::HttpRequest& request) {
                                      ": use GET or HEAD\n",
                             kTextContentType);
     response.extra_headers.emplace_back("Allow", "GET, HEAD");
-    // Still attribute the request to the path it aimed at (if known).
-    Route(request.Path(), &path_label);
   } else {
-    response = Route(request.Path(), &path_label);
+    response = Serve(route, surfaces_);
   }
 
   if (inflight_ != nullptr) inflight_->Add(-1);
@@ -109,8 +156,10 @@ net::HttpResponse HttpEndpoint::Handle(const net::HttpRequest& request) {
     const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    Histogram* latency = registry_->GetHistogram(kMetricHttpHandlerLatencyMicros,
-                                                 {{"path", path_label}});
+    // A refused method is still attributed to the path it aimed at.
+    const char* path_label = route != nullptr ? route->path : "other";
+    Histogram* latency = registry_->GetHistogram(
+        kMetricHttpHandlerLatencyMicros, {{"path", path_label}});
     if (latency != nullptr) latency->Record(static_cast<uint64_t>(micros));
     Counter* requests = registry_->GetCounter(
         kMetricHttpRequestsTotal,
@@ -118,48 +167,6 @@ net::HttpResponse HttpEndpoint::Handle(const net::HttpRequest& request) {
     if (requests != nullptr) requests->Inc();
   }
   return response;
-}
-
-net::HttpResponse HttpEndpoint::Route(const std::string& path,
-                                      const char** path_label) {
-  for (const char* known : kKnownPaths) {
-    if (path == known) {
-      *path_label = known;
-      break;
-    }
-  }
-  if (path == "/") {
-    return TextResponse(200, kIndexBody, kTextContentType);
-  }
-  if (path == "/healthz") {
-    return TextResponse(200, "ok\n", kTextContentType);
-  }
-  if (path == "/readyz") {
-    const bool ready = surfaces_.ready == nullptr || surfaces_.ready();
-    return ready ? TextResponse(200, "ready\n", kTextContentType)
-                 : TextResponse(503, "not ready\n", kTextContentType);
-  }
-  if (path == "/metrics") {
-    return FromSurface(surfaces_.metrics_prometheus, kPromContentType);
-  }
-  if (path == "/metrics.json") {
-    return FromSurface(surfaces_.metrics_json, kJsonContentType);
-  }
-  if (path == "/traces") {
-    return FromSurface(surfaces_.traces_json, kJsonContentType);
-  }
-  if (path == "/slow") {
-    return FromSurface(surfaces_.slow_text, kTextContentType);
-  }
-  if (path == "/report") {
-    return FromSurface(surfaces_.report_text, kTextContentType);
-  }
-  if (path == "/debug/active") {
-    return FromSurface(surfaces_.active_text, kTextContentType);
-  }
-  return TextResponse(404, "404 " + std::string(net::HttpStatusReason(404)) +
-                               "\n\n" + kIndexBody,
-                      kTextContentType);
 }
 
 }  // namespace obs

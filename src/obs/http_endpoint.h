@@ -1,7 +1,9 @@
 // The live observability endpoint: routes the service's existing
 // dump-to-string surfaces (metrics, traces, slow log, obs report,
-// active evaluations, health) over the net/ HTTP server, and
-// instruments itself through the same metric registry it exposes.
+// health) over the net/ HTTP server, and instruments itself through the
+// same metric registry it exposes. One route table in http_endpoint.cc
+// names every path; the dispatch, the `/` index and the bounded `path`
+// label vocabulary of the endpoint's own metrics all read it.
 //
 // Layering: obs/ cannot see service/ (service depends on obs), so the
 // endpoint takes the surfaces as a struct of callbacks and
@@ -51,7 +53,6 @@ struct ObsSurfaces {
   std::function<std::string()> traces_json;         ///< GET /traces
   std::function<std::string()> slow_text;           ///< GET /slow
   std::function<std::string()> report_text;         ///< GET /report
-  std::function<std::string()> active_text;         ///< GET /debug/active
   std::function<bool()> ready;                      ///< GET /readyz
 };
 
@@ -78,8 +79,6 @@ class HttpEndpoint {
   net::HttpResponse Handle(const net::HttpRequest& request);
 
  private:
-  net::HttpResponse Route(const std::string& path, const char** path_label);
-
   ObsSurfaces surfaces_;
   MetricsRegistry* registry_;
   Gauge* inflight_ = nullptr;

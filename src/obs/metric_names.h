@@ -46,8 +46,6 @@ struct MetricFamily {
     "tenant", "end-to-end latency, submission to delivery, microseconds")    \
   X(QueueWaitMicros, "relcomp_queue_wait_micros", kHistogram, "tenant",      \
     "scheduler queue residency of this tenant's tasks, microseconds")        \
-  X(SchedQueueWaitMicros, "relcomp_sched_queue_wait_micros", kHistogram,     \
-    "", "in-queue residency of every popped task, microseconds")             \
   X(SchedTokenWaitMicros, "relcomp_sched_token_wait_micros", kHistogram,     \
     "",                                                                      \
     "time producers spent blocked on admission (quota / rate limit) "        \

@@ -47,57 +47,10 @@ size_t ActiveEvaluations::size() const {
   return records_.size();
 }
 
-void FlightRecorder::Configure(size_t capacity) {
-  MutexLock lock(mu_);
-  capacity_ = capacity;
-  ring_.clear();
-  ring_.reserve(capacity);
-  next_ = 0;
-}
-
-void FlightRecorder::Add(RecorderSample sample) {
-  MutexLock lock(mu_);
-  if (capacity_ == 0) return;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(sample));
-    return;
-  }
-  ring_[next_] = std::move(sample);
-  next_ = (next_ + 1) % capacity_;
-}
-
-void FlightRecorder::Annotate(std::string annotation,
-                              std::chrono::steady_clock::time_point now) {
-  RecorderSample sample;
-  sample.at = now;
-  sample.annotation = std::move(annotation);
-  Add(std::move(sample));
-}
-
-std::vector<RecorderSample> FlightRecorder::Snapshot() const {
-  MutexLock lock(mu_);
-  std::vector<RecorderSample> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-size_t FlightRecorder::size() const {
-  MutexLock lock(mu_);
-  return ring_.size();
-}
-
-size_t FlightRecorder::capacity() const {
-  MutexLock lock(mu_);
-  return capacity_;
-}
-
 namespace {
 
 // The published report lives behind the shared_ptr atomic free functions
-// (C++17 has no std::atomic<shared_ptr>): the sampler thread swaps in a
+// (C++17 has no std::atomic<shared_ptr>): the watchdog thread swaps in a
 // freshly rendered string; the abort hook loads whatever is current and
 // fwrites it. No relcomp::Mutex anywhere on the dump path, so the hook is
 // safe to run while the dying thread holds arbitrary ranked locks.
@@ -117,9 +70,9 @@ void DumpPublishedAbortReport() {
   const std::shared_ptr<const std::string> report =
       std::atomic_load(&AbortReportSlot());
   if (report != nullptr && !report->empty()) {
-    std::fprintf(stderr, "\n--- relcomp flight recorder (last report) ---\n");
+    std::fprintf(stderr, "\n--- relcomp abort report (last render) ---\n");
     std::fwrite(report->data(), 1, report->size(), stderr);
-    std::fprintf(stderr, "--- end flight recorder ---\n");
+    std::fprintf(stderr, "--- end abort report ---\n");
   }
 }
 

@@ -1,24 +1,20 @@
-// Flight recorder + stall watchdog support: the forensics layer that can
-// answer "what was the system doing just before X" and "which evaluation
-// is stuck right now".
+// Stall watchdog support: the forensics layer that can answer "which
+// evaluation is stuck right now" and "what was the system doing when it
+// died".
 //
-// Three pieces:
+// Two pieces:
 //   ActiveEvaluations — a registry of currently-running evaluations. Each
 //     evaluation registers an atomic heartbeat record (loop tag + step
 //     count + last-heartbeat time) for its lifetime; the evaluating thread
 //     updates it with relaxed stores from the checkpoint progress hook
 //     (lock-free hot path), and the watchdog thread scans a snapshot to
 //     flag records whose heartbeat has not moved past a threshold.
-//   FlightRecorder — a bounded ring of periodic samples (in-flight count,
-//     recent rates, queue depth, active/stalled evaluation counts) plus
-//     out-of-band annotations ("watchdog: stall flagged..."), written by
-//     the service's sampler thread and dumped by ObsReport().
 //   PublishAbortReport / DumpPublishedAbortReport — a pre-rendered report
-//     string swapped in atomically by the sampler thread and written to
+//     string swapped in atomically by the watchdog thread and written to
 //     stderr from the lock-rank abort hook. The abort path must not lock
-//     or allocate, so the report is rendered *ahead of time*, every tick;
-//     the hook just fwrites whatever snapshot was current when the process
-//     began dying.
+//     or allocate, so the report is rendered *ahead of time*; the hook
+//     just fwrites whatever snapshot was current when the process began
+//     dying.
 #ifndef RELCOMP_OBS_RECORDER_H_
 #define RELCOMP_OBS_RECORDER_H_
 
@@ -124,48 +120,10 @@ class ActiveEvaluations {
   std::vector<std::shared_ptr<Record>> records_ GUARDED_BY(mu_);
 };
 
-/// One periodic sample of the system's vitals, or an annotation.
-struct RecorderSample {
-  std::chrono::steady_clock::time_point at{};
-  int64_t inflight = 0;
-  double rate_1s = 0.0;    ///< requests/sec over the last second
-  double rate_10s = 0.0;   ///< requests/sec over the last 10 seconds
-  uint64_t p95_10s = 0;    ///< recent latency p95 (µs, 10 s window)
-  size_t queue_depth = 0;
-  size_t active = 0;       ///< running evaluations
-  uint64_t stalled = 0;    ///< watchdog stall flags so far (cumulative)
-  std::string annotation;  ///< non-empty for out-of-band events
-};
-
-/// Bounded ring of recent samples, oldest overwritten first.
-class FlightRecorder {
- public:
-  /// capacity 0 disables the recorder.
-  void Configure(size_t capacity);
-
-  void Add(RecorderSample sample);
-  /// Appends an annotation-only sample (stamped `now`).
-  void Annotate(std::string annotation,
-                std::chrono::steady_clock::time_point now =
-                    std::chrono::steady_clock::now());
-
-  /// Retained samples, oldest first.
-  std::vector<RecorderSample> Snapshot() const;
-
-  size_t size() const;
-  size_t capacity() const;
-
- private:
-  mutable Mutex mu_{LockRank::kObsRecorder, "FlightRecorder::mu_"};
-  size_t capacity_ GUARDED_BY(mu_) = 0;
-  size_t next_ GUARDED_BY(mu_) = 0;
-  std::vector<RecorderSample> ring_ GUARDED_BY(mu_);
-};
-
 /// Swaps in the pre-rendered last-gasp report the lock-rank abort hook
 /// writes to stderr. Call InstallAbortReportHook() once (idempotent) to
 /// register the dump with util/mutex's abort path; then publish a fresh
-/// report every sampler tick.
+/// report whenever the vitals it shows may have moved.
 void PublishAbortReport(std::string report);
 /// Writes the current published report to stderr. Lock-free: one atomic
 /// shared_ptr load + fwrite. Safe to call from the abort path.

@@ -69,8 +69,9 @@ std::chrono::nanoseconds FairQueue::TakeToken(Tenant& tenant, TimePoint now) {
   if (tenant.options.rate_per_sec <= 0) return std::chrono::nanoseconds(0);
   const double elapsed =
       std::chrono::duration<double>(now - tenant.refilled).count();
-  tenant.tokens = std::min(tenant.options.burst,
-                           tenant.tokens + elapsed * tenant.options.rate_per_sec);
+  tenant.tokens =
+      std::min(tenant.options.burst,
+               tenant.tokens + elapsed * tenant.options.rate_per_sec);
   tenant.refilled = now;
   if (tenant.tokens >= 1.0) {
     tenant.tokens -= 1.0;
@@ -194,17 +195,12 @@ bool FairQueue::Pop(Task* task, TaskOutcome* outcome) {
   const TimePoint now = Clock::now();
   task->wait = std::chrono::duration_cast<std::chrono::microseconds>(
       now - task->enqueued);
-  if (queue_wait_hist_ != nullptr) {
-    queue_wait_hist_->Record(static_cast<uint64_t>(task->wait.count()));
-  }
   *outcome = task->deadline < now ? TaskOutcome::kExpired : TaskOutcome::kRun;
   return true;
 }
 
-void FairQueue::AttachMetrics(obs::Histogram* queue_wait,
-                              obs::Histogram* token_wait) {
+void FairQueue::AttachMetrics(obs::Histogram* token_wait) {
   MutexLock lock(mu_);
-  queue_wait_hist_ = queue_wait;
   token_wait_hist_ = token_wait;
 }
 

@@ -100,14 +100,14 @@ class FairQueue {
   size_t depth() const EXCLUDES(mu_);
   size_t TenantDepth(uint64_t tenant) const EXCLUDES(mu_);
 
-  /// Points the queue at externally owned histograms (microsecond values):
-  /// `queue_wait` records every popped task's in-queue residency;
-  /// `token_wait` records the time a kBlock producer actually spent blocked
+  /// Points the queue at an externally owned histogram (microsecond
+  /// values) recording the time a kBlock producer actually spent blocked
   /// on the rate limiter/quota before admission (recorded only when
-  /// nonzero, so an uncontended queue stays silent). Either may be null.
-  /// The histograms must outlive the queue; call before workers start.
-  void AttachMetrics(obs::Histogram* queue_wait, obs::Histogram* token_wait)
-      EXCLUDES(mu_);
+  /// nonzero, so an uncontended queue stays silent); null detaches it.
+  /// In-queue residency is not recorded here: Pop stamps it on each
+  /// task's `wait`, and the consumer accounts it per tenant. The histogram
+  /// must outlive the queue; call before workers start.
+  void AttachMetrics(obs::Histogram* token_wait) EXCLUDES(mu_);
 
  private:
   /// Stride scheduling granularity. Pass advances by kStrideScale/weight
@@ -159,7 +159,6 @@ class FairQueue {
   uint64_t global_pass_ GUARDED_BY(mu_) = 0;
   size_t depth_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
-  obs::Histogram* queue_wait_hist_ GUARDED_BY(mu_) = nullptr;  ///< not owned
   obs::Histogram* token_wait_hist_ GUARDED_BY(mu_) = nullptr;  ///< not owned
 };
 

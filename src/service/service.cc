@@ -140,21 +140,18 @@ CompletenessService::CompletenessService(ServiceOptions options)
   slow_log_.Configure(options_.slow_log);
   trace_sink_.Configure(options_.trace_ring);
   if (options_.metrics) {
-    windows_ = std::make_unique<Shard::Windows>();
+    windows_ = std::make_unique<Windows>();
     inflight_gauge_ = metrics_registry_.GetGauge(obs::kMetricInflightRequests);
-    sched_queue_wait_ =
-        metrics_registry_.GetHistogram(obs::kMetricSchedQueueWaitMicros);
-    sched_token_wait_ =
-        metrics_registry_.GetHistogram(obs::kMetricSchedTokenWaitMicros);
-    queue_.AttachMetrics(sched_queue_wait_, sched_token_wait_);
+    queue_.AttachMetrics(
+        metrics_registry_.GetHistogram(obs::kMetricSchedTokenWaitMicros));
   }
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back(
         [this, i] { WorkerLoop(static_cast<int>(i)); });
   }
-  if (options_.recorder_interval_ms > 0 || options_.watchdog_stall_micros > 0) {
-    recorder_.Configure(options_.recorder_ring);
+  if (options_.recorder_interval_ms > 0 ||
+      options_.watchdog_stall_micros > 0) {
     obs::InstallAbortReportHook();
     recorder_thread_ = JoinableThread([this] { RecorderLoop(); });
   }
@@ -164,8 +161,8 @@ CompletenessService::~CompletenessService() {
   // The observability endpoint's handler threads call back into this
   // service, so it stops before anything else is dismantled.
   StopObs();
-  // The sampler reads queue/window/registry state the rest of this
-  // teardown dismantles, so it stops first.
+  // The watchdog thread reads queue/window/registry state the rest of
+  // this teardown dismantles, so it stops first.
   if (recorder_thread_.joinable()) {
     {
       MutexLock lock(recorder_wake_mu_);
@@ -297,7 +294,7 @@ Decision CompletenessService::UnknownHandleDecision(SettingHandle handle) {
 
 void CompletenessService::InitShardMetrics(Shard& shard, uint64_t handle_id) {
   if (!options_.metrics) return;
-  shard.windows = std::make_unique<Shard::Windows>();
+  shard.recent_requests = std::make_unique<obs::WindowedCounter>();
   const obs::LabelSet tenant{{"tenant", std::to_string(handle_id)}};
   shard.metrics.e2e_latency =
       metrics_registry_.GetHistogram(obs::kMetricRequestLatencyMicros, tenant);
@@ -334,11 +331,9 @@ void CompletenessService::InitShardMetrics(Shard& shard, uint64_t handle_id) {
   shard.cache->AttachEvents(sink);
 }
 
-void CompletenessService::FinishRequest(Shard* shard,
-                                        const std::shared_ptr<obs::Trace>& trace,
-                                        sched::TimePoint submit,
-                                        Decision* decision,
-                                        const char* kind) {
+void CompletenessService::FinishRequest(
+    Shard* shard, const std::shared_ptr<obs::Trace>& trace,
+    sched::TimePoint submit, Decision* decision, const char* kind) {
   const sched::TimePoint now = sched::Clock::now();
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::microseconds>(now - submit);
@@ -349,9 +344,8 @@ void CompletenessService::FinishRequest(Shard* shard,
   if (shard != nullptr && shard->metrics.e2e_latency != nullptr) {
     shard->metrics.e2e_latency->Record(micros);
   }
-  if (shard != nullptr && shard->windows != nullptr) {
-    shard->windows->requests.Record(1, now);
-    shard->windows->latency.Record(micros, now);
+  if (shard != nullptr && shard->recent_requests != nullptr) {
+    shard->recent_requests->Record(1, now);
   }
   if (windows_ != nullptr) {
     windows_->requests.Record(1, now);
@@ -480,7 +474,8 @@ void CompletenessService::RecordSearchProfile(const Shard& shard,
 void CompletenessService::ExtendRunDeadline(FlightGroup& group,
                                             sched::TimePoint deadline) {
   const sched::Clock::rep candidate = deadline.time_since_epoch().count();
-  sched::Clock::rep current = group.run_deadline.load(std::memory_order_relaxed);
+  sched::Clock::rep current =
+      group.run_deadline.load(std::memory_order_relaxed);
   while (current < candidate &&
          !group.run_deadline.compare_exchange_weak(current, candidate,
                                                    std::memory_order_relaxed)) {
@@ -761,8 +756,8 @@ Decision CompletenessService::Decide(const ServiceRequest& request) {
   return decision.get();
 }
 
-void CompletenessService::SubmitAsync(ServiceRequest request,
-                                      std::function<void(Decision)> on_complete) {
+void CompletenessService::SubmitAsync(
+    ServiceRequest request, std::function<void(Decision)> on_complete) {
   const sched::TimePoint submit = sched::Clock::now();
   std::shared_ptr<Shard> shard = FindShard(request.setting);
   if (shard == nullptr) {
@@ -969,15 +964,22 @@ Result<EngineCounters> CompletenessService::counters(
   return WithCacheStats(shard->counters, cache_stats);
 }
 
-EngineCounters CompletenessService::TotalCounters() const {
-  std::vector<std::shared_ptr<Shard>> shards;
+std::vector<std::pair<uint64_t, std::shared_ptr<CompletenessService::Shard>>>
+CompletenessService::LiveShards() const {
+  std::vector<std::pair<uint64_t, std::shared_ptr<Shard>>> shards;
   {
     MutexLock lock(registry_mu_);
     shards.reserve(shards_.size());
-    for (const auto& [id, shard] : shards_) shards.push_back(shard);
+    for (const auto& [id, shard] : shards_) shards.emplace_back(id, shard);
   }
+  std::sort(shards.begin(), shards.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return shards;
+}
+
+EngineCounters CompletenessService::TotalCounters() const {
   EngineCounters total;
-  for (const std::shared_ptr<Shard>& shard : shards) {
+  for (const auto& [id, shard] : LiveShards()) {
     const cache::CacheStats cache_stats = shard->cache->stats();
     MutexLock lock(shard->mu);
     total += WithCacheStats(shard->counters, cache_stats);
@@ -998,22 +1000,13 @@ std::string CompletenessService::DumpMetrics(obs::DumpFormat format) const {
   // cancelled), so deriving rather than double-counting on the hot path
   // keeps the exposition consistent with counters()/TotalCounters() by
   // construction. Sorted by handle id for deterministic output.
-  std::vector<std::pair<uint64_t, std::shared_ptr<Shard>>> shards;
-  {
-    MutexLock lock(registry_mu_);
-    shards.reserve(shards_.size());
-    for (const auto& [id, shard] : shards_) shards.emplace_back(id, shard);
-  }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto shards = LiveShards();
   std::vector<std::pair<uint64_t, EngineCounters>> snapshots;
   snapshots.reserve(shards.size());
   for (const auto& [id, shard] : shards) {
     MutexLock shard_lock(shard->mu);
     snapshots.emplace_back(id, shard->counters);
   }
-  std::sort(snapshots.begin(), snapshots.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   struct Outcome {
     const char* name;
     uint64_t EngineCounters::* field;
@@ -1069,10 +1062,10 @@ std::string CompletenessService::DumpMetrics(obs::DumpFormat format) const {
       dump.AddRate(obs::RequestsRateFamily(secs), {},
                    windows_->requests.Rate(secs, now));
       for (const auto& [id, shard] : shards) {
-        if (shard->windows == nullptr) continue;
+        if (shard->recent_requests == nullptr) continue;
         dump.AddRate(obs::TenantRequestsRateFamily(secs),
                      {{"tenant", std::to_string(id)}},
-                     shard->windows->requests.Rate(secs, now));
+                     shard->recent_requests->Rate(secs, now));
       }
     }
     static constexpr uint64_t kLatencyWindows[] = {10, 60};
@@ -1100,14 +1093,8 @@ Result<cache::CacheStats> CompletenessService::CacheStats(
 }
 
 Status CompletenessService::SaveCaches(const std::string& path) const {
-  std::vector<std::shared_ptr<Shard>> shards;
-  {
-    MutexLock lock(registry_mu_);
-    shards.reserve(shards_.size());
-    for (const auto& [id, shard] : shards_) shards.push_back(shard);
-  }
   cache::Snapshot snapshot;
-  for (const std::shared_ptr<Shard>& shard : shards) {
+  for (const auto& [id, shard] : LiveShards()) {
     if (shard->cache->capacity() == 0) continue;  // nothing cached, ever
     cache::SnapshotShard image;
     image.setting_key = shard->setting_key;
@@ -1156,7 +1143,7 @@ Status CompletenessService::ClearCache(SettingHandle handle) {
 
 void CompletenessService::RecorderLoop() {
   using std::chrono::microseconds;
-  // Tick at the finer of the two cadences being served: the sampling
+  // Tick at the finer of the two cadences being served: the report
   // interval, and half the stall threshold (so a stall is flagged within
   // one threshold period of the heartbeat going quiet).
   uint64_t tick_us = options_.recorder_interval_ms * 1000;
@@ -1166,8 +1153,8 @@ void CompletenessService::RecorderLoop() {
     tick_us = tick_us == 0 ? half : std::min(tick_us, half);
   }
   const uint64_t interval_us = options_.recorder_interval_ms * 1000;
-  // Start "due": the first tick takes the first sample.
-  auto last_sample =
+  // Start "due": the first tick renders the first report.
+  auto last_render =
       std::chrono::steady_clock::now() - microseconds(interval_us);
   for (;;) {
     {
@@ -1214,29 +1201,15 @@ void CompletenessService::RecorderLoop() {
         entry.note = "watchdog: no checkpoint progress for " +
                      std::to_string(age_us) + "us; " + where;
         slow_log_.Offer(std::move(entry));
-        recorder_.Annotate("watchdog: evaluation stalled, " + where, now);
       }
     }
 
-    if (interval_us > 0 && now - last_sample >= microseconds(interval_us)) {
-      last_sample = now;
-      obs::RecorderSample sample;
-      sample.at = now;
-      if (inflight_gauge_ != nullptr) sample.inflight = inflight_gauge_->value();
-      if (windows_ != nullptr) {
-        sample.rate_1s = windows_->requests.Rate(1, now);
-        sample.rate_10s = windows_->requests.Rate(10, now);
-        sample.p95_10s = static_cast<uint64_t>(
-            windows_->latency.Snapshot(10, now).Quantile(0.95));
-      }
-      sample.queue_depth = queue_.depth();
-      sample.active = active_.size();
-      sample.stalled = watchdog_stall_count_.load(std::memory_order_relaxed);
-      recorder_.Add(std::move(sample));
-      obs::PublishAbortReport(ObsReport());
-    } else if (flagged_stall) {
-      // No sample due, but the vitals just changed in the way the abort
-      // report most needs to show.
+    // Re-render on the interval, and at once after a flagged stall: the
+    // vitals just changed in the way the abort report most needs to show.
+    const bool due =
+        interval_us > 0 && now - last_render >= microseconds(interval_us);
+    if (due || flagged_stall) {
+      if (due) last_render = now;
       obs::PublishAbortReport(ObsReport());
     }
   }
@@ -1244,16 +1217,13 @@ void CompletenessService::RecorderLoop() {
 
 std::string CompletenessService::ObsReport() const {
   const auto now = std::chrono::steady_clock::now();
-  const auto us_since = [now](std::chrono::steady_clock::time_point at) {
-    return std::chrono::duration_cast<std::chrono::microseconds>(now - at)
-        .count();
-  };
+  const auto active = active_.Snapshot();
   std::ostringstream out;
   out << "=== relcomp obs report ===\n";
   out << "in-flight: "
       << (inflight_gauge_ != nullptr ? inflight_gauge_->value() : 0)
       << "  queue depth: " << queue_.depth()
-      << "  active evaluations: " << active_.size() << "  watchdog stalls: "
+      << "  active evaluations: " << active.size() << "  watchdog stalls: "
       << watchdog_stall_count_.load(std::memory_order_relaxed) << "\n";
   if (windows_ != nullptr) {
     const obs::HistogramData recent = windows_->latency.Snapshot(10, now);
@@ -1267,38 +1237,34 @@ std::string CompletenessService::ObsReport() const {
         << "us n=" << recent.count << "\n";
   }
 
-  std::vector<std::pair<uint64_t, std::shared_ptr<Shard>>> shards;
-  {
-    MutexLock lock(registry_mu_);
-    shards.reserve(shards_.size());
-    for (const auto& [id, shard] : shards_) shards.emplace_back(id, shard);
-  }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [id, shard] : shards) {
-    if (shard->windows == nullptr) continue;
+  for (const auto& [id, shard] : LiveShards()) {
+    if (shard->recent_requests == nullptr) continue;
     out << "tenant " << id << ": " << std::setprecision(1)
-        << shard->windows->requests.Rate(10, now) << "/s (10s), queued "
+        << shard->recent_requests->Rate(10, now) << "/s (10s), queued "
         << queue_.TenantDepth(id) << "\n";
   }
 
-  if (active_.size() > 0) out << RenderActiveEvaluations();
-
-  const auto samples = recorder_.Snapshot();
-  if (!samples.empty()) {
-    out << "flight recorder (" << samples.size() << " samples, oldest first):\n";
-    for (const obs::RecorderSample& sample : samples) {
-      out << "  t-" << std::setprecision(1)
-          << static_cast<double>(us_since(sample.at)) / 1e6 << "s ";
-      if (!sample.annotation.empty()) {
-        out << sample.annotation << "\n";
-        continue;
-      }
-      out << "inflight=" << sample.inflight << " rate1s=" << sample.rate_1s
-          << " rate10s=" << sample.rate_10s << " p95_10s=" << sample.p95_10s
-          << "us queue=" << sample.queue_depth << " active=" << sample.active
-          << " stalled=" << sample.stalled << "\n";
-    }
+  // The active-evaluation table: where each running search is, and how
+  // long since its last checkpoint heartbeat.
+  const auto us_since = [now](std::chrono::steady_clock::duration at) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               now.time_since_epoch() - at)
+        .count();
+  };
+  for (const auto& record : active) {
+    const char* loop = record->loop.load(std::memory_order_relaxed);
+    out << "  eval#" << record->id << " tenant=" << record->tenant
+        << " kind=" << record->kind;
+    if (record->trace_id != 0) out << " trace#" << record->trace_id;
+    out << " loop=" << (loop != nullptr ? loop : "-")
+        << " steps=" << record->steps.load(std::memory_order_relaxed)
+        << " running=" << us_since(record->start.time_since_epoch())
+        << "us heartbeat_age="
+        << us_since(obs::ActiveEvaluations::Clock::duration(
+               record->last_heartbeat.load(std::memory_order_relaxed)))
+        << "us";
+    if (record->flagged.load(std::memory_order_relaxed)) out << " [STALLED]";
+    out << "\n";
   }
 
   const auto slow = slow_log_.Worst();
@@ -1313,46 +1279,20 @@ std::string CompletenessService::ObsReport() const {
   return out.str();
 }
 
-std::string CompletenessService::RenderActiveEvaluations() const {
-  const auto now = std::chrono::steady_clock::now();
-  const auto active = active_.Snapshot();
-  std::ostringstream out;
-  out << "active evaluations: " << active.size() << "\n";
-  for (const auto& record : active) {
-    const char* loop = record->loop.load(std::memory_order_relaxed);
-    const auto heartbeat_age =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            now.time_since_epoch() -
-            obs::ActiveEvaluations::Clock::duration(
-                record->last_heartbeat.load(std::memory_order_relaxed)))
-            .count();
-    const auto running =
-        std::chrono::duration_cast<std::chrono::microseconds>(now -
-                                                              record->start)
-            .count();
-    out << "  eval#" << record->id << " tenant=" << record->tenant
-        << " kind=" << record->kind;
-    if (record->trace_id != 0) out << " trace#" << record->trace_id;
-    out << " loop=" << (loop != nullptr ? loop : "-")
-        << " steps=" << record->steps.load(std::memory_order_relaxed)
-        << " running=" << running << "us heartbeat_age=" << heartbeat_age
-        << "us";
-    if (record->flagged.load(std::memory_order_relaxed)) out << " [STALLED]";
-    out << "\n";
-  }
-  return out.str();
-}
-
 std::string CompletenessService::RenderSlowLog() const {
   const auto slow = slow_log_.Worst();
   std::ostringstream out;
   out << "slow decisions: " << slow.size() << " (slowest first)\n";
   for (const obs::SlowEntry& entry : slow) {
-    out << "  " << entry.micros << "us tenant=" << entry.tenant
+    out << entry.micros << "us tenant=" << entry.tenant
         << " kind=" << (entry.kind.empty() ? "-" : entry.kind);
     if (entry.trace_id != 0) out << " trace#" << entry.trace_id;
     if (!entry.note.empty()) out << " (" << entry.note << ")";
     out << "\n";
+    if (entry.profile != nullptr) {
+      out << "  search: " << entry.profile->ToString() << "\n";
+    }
+    if (entry.trace != nullptr) out << entry.trace->ToString() << "\n";
   }
   return out.str();
 }
@@ -1372,7 +1312,6 @@ Status CompletenessService::ServeObs(const obs::ObsHttpOptions& options) {
   surfaces.traces_json = [this] { return DumpTraces(); };
   surfaces.slow_text = [this] { return RenderSlowLog(); };
   surfaces.report_text = [this] { return ObsReport(); };
-  surfaces.active_text = [this] { return RenderActiveEvaluations(); };
   surfaces.ready = [this] {
     // Ready = at least one registered setting, and the worker pool is
     // live (a zero-worker service runs every submission inline, so the

@@ -78,6 +78,7 @@
 #include <future>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/budget.h"
@@ -203,21 +204,18 @@ struct ServiceOptions {
   /// profile's per-loop sub-slices). 0 = no trace retention (DumpTraces
   /// renders an empty timeline); needs trace_sample to ever fill.
   size_t trace_ring = 0;
-  /// Flight-recorder sampling period in milliseconds: a background thread
-  /// snapshots the system's vitals (in-flight, recent rates, windowed p95,
-  /// queue depth, active/stalled evaluations) into a bounded ring read by
-  /// ObsReport(), and republishes the abort-path report each tick. 0 =
-  /// no periodic sampling (the thread still runs if the watchdog is on).
+  /// How often, in milliseconds, the watchdog thread re-renders the
+  /// abort report: the ObsReport() text the lock-rank abort hook writes to
+  /// stderr when the process dies. 0 = re-render only when the watchdog
+  /// flags a stall (the thread runs when either knob is set).
   uint64_t recorder_interval_ms = 0;
-  /// Flight-recorder ring capacity (samples + annotations retained).
-  size_t recorder_ring = 120;
   /// Stall watchdog threshold: a running evaluation whose cooperative
   /// checkpoints have not heartbeat'd for this many microseconds is
-  /// flagged (once) — counted in relcomp_watchdog_stalls_total, annotated
-  /// in the flight recorder, and entered into the slow-decision log with
-  /// the loop tag and step count it stalled in. 0 = watchdog off. The
-  /// watchdog observes heartbeats only at checkpoint granularity, so the
-  /// threshold must comfortably exceed checkpoint_interval's wall time.
+  /// flagged (once) — counted in relcomp_watchdog_stalls_total and
+  /// entered into the slow-decision log with the loop tag and step count
+  /// it stalled in. 0 = watchdog off. The watchdog observes heartbeats
+  /// only at checkpoint granularity, so the threshold must comfortably
+  /// exceed checkpoint_interval's wall time.
   uint64_t watchdog_stall_micros = 0;
 };
 
@@ -298,7 +296,8 @@ class CompletenessService {
   /// computation; the others report from_cache = true with a coalescing
   /// note. Multiple batches may be submitted concurrently; under kFairShare
   /// their tenants share the pool by weight. Thread-safe.
-  std::vector<Decision> SubmitBatch(const std::vector<ServiceRequest>& requests);
+  std::vector<Decision> SubmitBatch(
+      const std::vector<ServiceRequest>& requests);
 
   /// Async path: admits the request (cache hits, sheds and coalescing joins
   /// resolve on the submitting thread; a new group is queued on the shared
@@ -373,8 +372,8 @@ class CompletenessService {
   /// Renders every live metric — per-tenant end-to-end latency and
   /// queue-wait histograms (Prometheus le-buckets; JSON carries explicit
   /// p50/p95/p99), per-kind and per-priority request counters, cache event
-  /// counters and resident gauges, scheduler-level wait histograms, the
-  /// in-flight gauge — plus per-tenant outcome counters derived from the
+  /// counters and resident gauges, the scheduler's token-wait histogram,
+  /// the in-flight gauge — plus per-tenant outcome counters derived from the
   /// shard EngineCounters (`relcomp_decisions_total{tenant,outcome=...}`,
   /// the request-partition source of truth). Safe to call while serving.
   std::string DumpMetrics(
@@ -394,24 +393,24 @@ class CompletenessService {
   std::string DumpTraces() const;
 
   /// A plain-text operational dashboard: in-flight and queue depth, recent
-  /// windowed rates and latency quantiles, per-tenant request rates, the
-  /// active-evaluation table (loop tag, steps, heartbeat age, stall flag),
-  /// the watchdog stall count, and the flight recorder's retained samples.
-  /// This is also the report the lock-rank abort hook dumps to stderr —
-  /// republished every recorder tick so a crashing process prints its
-  /// last-known vitals. Safe to call while serving.
+  /// windowed rates and latency quantiles, per-tenant request rates and
+  /// queue depths, the active-evaluation table (loop tag, steps, heartbeat
+  /// age, stall flag), the watchdog stall count, and the slow log's worst
+  /// entry. This is also the report the lock-rank abort hook dumps to
+  /// stderr — re-rendered by the watchdog thread (see
+  /// recorder_interval_ms) so a crashing process prints its last-known
+  /// vitals. Safe to call while serving.
   std::string ObsReport() const;
 
-  /// The slow-decision log as text, slowest first — the /slow endpoint.
+  /// The slow-decision log as text, slowest first — the /slow endpoint and
+  /// the CLI's --slow-log listing: a headline per entry (latency, tenant,
+  /// kind, trace id, note), then its `search:` profile line and its span
+  /// timeline when it has them.
   std::string RenderSlowLog() const;
-
-  /// The active-evaluation table as text — the /debug/active endpoint
-  /// (the same table ObsReport embeds, without the rest of the report).
-  std::string RenderActiveEvaluations() const;
 
   /// Starts the live observability HTTP endpoint: /metrics (Prometheus),
   /// /metrics.json, /traces (Perfetto-compatible JSON), /slow, /report,
-  /// /debug/active, /healthz, /readyz — the surfaces above, served live.
+  /// /healthz, /readyz — the surfaces above, served live.
   /// Scrapes run on the endpoint's own threads and take only the locks
   /// the dump calls always took; the decision hot path is untouched.
   /// One endpoint per service; a second call is an error. The endpoint
@@ -527,14 +526,10 @@ class CompletenessService {
     uint64_t id = 0;        // handle id; set once at registration, then
                             // read-only (doubles as the tenant label)
     ShardMetrics metrics;   // set once at registration, then read-only
-    /// Sliding-window views of this tenant's recent traffic (1s/10s/60s
-    /// request rates and recent latency quantiles in DumpMetrics /
-    /// ObsReport). Internally synchronized; null when metrics are off.
-    struct Windows {
-      obs::WindowedCounter requests;
-      obs::WindowedHistogram latency;
-    };
-    std::unique_ptr<Windows> windows;
+    /// This tenant's recent delivery count (the 1s/10s/60s request rates
+    /// in DumpMetrics and ObsReport). Internally synchronized; null when
+    /// metrics are off.
+    std::unique_ptr<obs::WindowedCounter> recent_requests;
     uint64_t refcount = 1;  // guarded by registry_mu_ (not expressible as
                             // GUARDED_BY: the outer service's mutex is not
                             // nameable from a nested struct)
@@ -551,6 +546,10 @@ class CompletenessService {
   };
 
   std::shared_ptr<Shard> FindShard(SettingHandle handle) const
+      EXCLUDES(registry_mu_);
+  /// Every live shard with its handle id, sorted by id, collected under
+  /// registry_mu_ and returned with the lock released.
+  std::vector<std::pair<uint64_t, std::shared_ptr<Shard>>> LiveShards() const
       EXCLUDES(registry_mu_);
   static Decision UnknownHandleDecision(SettingHandle handle);
 
@@ -678,11 +677,11 @@ class CompletenessService {
 
   void WorkerLoop(int worker_index);
 
-  /// The sampler/watchdog thread body: sleeps on recorder_wake_mu_ in
-  /// recorder-tick-sized slices (woken early by shutdown), scans the
-  /// active-evaluation registry for stalls, snapshots vitals into the
-  /// flight recorder on the configured cadence, and republishes the
-  /// abort-path report. All work happens OUTSIDE the wake mutex.
+  /// The watchdog thread body: sleeps on recorder_wake_mu_ in tick-sized
+  /// slices (woken early by shutdown), scans the active-evaluation
+  /// registry for stalls, and re-renders the abort-path report on the
+  /// recorder_interval_ms cadence and after each flagged stall. All work
+  /// happens OUTSIDE the wake mutex.
   void RecorderLoop();
 
   const ServiceOptions options_;
@@ -723,13 +722,15 @@ class CompletenessService {
   obs::SlowDecisionLog slow_log_;
   obs::TraceSink trace_sink_;        ///< export ring behind DumpTraces()
   obs::ActiveEvaluations active_;    ///< running evaluations (watchdog prey)
-  obs::FlightRecorder recorder_;     ///< periodic vitals ring
-  obs::Gauge* inflight_gauge_ = nullptr;          ///< null when metrics off
-  obs::Histogram* sched_queue_wait_ = nullptr;    ///< queue-level, all tenants
-  obs::Histogram* sched_token_wait_ = nullptr;    ///< admission-block time
-  /// Service-wide sliding windows (all tenants merged); null when metrics
-  /// are off, like the per-shard ones.
-  std::unique_ptr<Shard::Windows> windows_;
+  obs::Gauge* inflight_gauge_ = nullptr;  ///< null when metrics off
+  /// Service-wide sliding windows (all tenants merged): the delivery rate
+  /// and the recent latency distribution. Null when metrics are off, like
+  /// the per-shard request windows.
+  struct Windows {
+    obs::WindowedCounter requests;
+    obs::WindowedHistogram latency;
+  };
+  std::unique_ptr<Windows> windows_;
   /// Evaluations the watchdog has flagged as stalled, cumulative. Kept as
   /// a plain atomic (not only a registry counter) so ObsReport and the
   /// metrics-off configuration still see it.
@@ -742,11 +743,11 @@ class CompletenessService {
   sched::FairQueue queue_;
   std::vector<JoinableThread> workers_;
 
-  // The sampler/watchdog thread, started after the workers when the
-  // recorder or watchdog is configured and stopped FIRST in the
-  // destructor (it reads members the teardown below dismantles). The wake
-  // mutex exists only so shutdown can interrupt the tick sleep; the loop
-  // never does work under it.
+  // The watchdog thread, started after the workers when
+  // recorder_interval_ms or watchdog_stall_micros is set and stopped FIRST
+  // in the destructor (it reads members the teardown below dismantles).
+  // The wake mutex exists only so shutdown can interrupt the tick sleep;
+  // the loop never does work under it.
   mutable Mutex recorder_wake_mu_{LockRank::kObsRecorderWake,
                                   "CompletenessService::recorder_wake_mu_"};
   CondVar recorder_wake_cv_;

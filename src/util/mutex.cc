@@ -84,7 +84,7 @@ void DumpCallStack() {
   DumpHeldStack(stack);
   DumpCallStack();
   // Last-gasp forensics: let the obs layer dump its pre-rendered report
-  // (flight-recorder ring, active evaluations) before the process dies.
+  // (vitals, active evaluations, slow log) before the process dies.
   RunAbortReportHook();
   std::fflush(stderr);
   std::abort();

@@ -59,8 +59,8 @@ enum class LockRank : int {
   // release it before parsing or invoking a handler, so the rank never
   // nests with the service/obs locks the handlers take.
   kNetHttpServer = 56,
-  // CompletenessService::recorder_wake_mu_ — the sampler thread's sleep
-  // mutex. The sampler does all its work (scans, renders, metric reads)
+  // CompletenessService::recorder_wake_mu_ — the watchdog thread's sleep
+  // mutex. The thread does all its work (scans, renders, metric reads)
   // strictly outside this lock; it exists only to make shutdown wake the
   // WaitFor. Kept below the obs leaves so the wait itself can never
   // invert against them even if the loop is later restructured.
@@ -75,8 +75,6 @@ enum class LockRank : int {
   // ActiveEvaluations::mu_ — the registry of running evaluations the stall
   // watchdog scans; leaf (per-record heartbeats are lock-free atomics).
   kObsActive = 68,
-  // FlightRecorder::mu_ — the bounded ring of periodic samples; leaf.
-  kObsRecorder = 69,
   // SlowDecisionLog::mu_ — holds plain SlowEntry values (the trace inside
   // an entry is only read, never locked, under this mutex); ranked below
   // the obs leaves it historically preceded.
@@ -100,10 +98,10 @@ enum class LockRank : int {
 
 /// Hook run from the lock-rank checker's abort path, after the held-lock
 /// and call stacks print but before std::abort(), so a higher layer can
-/// dump last-gasp forensics (the obs layer registers a flight-recorder /
-/// ObsReport dump). The hook runs on the dying thread which may hold
-/// arbitrary locks — it must not lock, allocate, or block; in practice it
-/// fwrites a pre-rendered buffer. A plain function pointer (not
+/// dump last-gasp forensics (the obs layer registers an ObsReport dump).
+/// The hook runs on the dying thread which may hold arbitrary locks — it
+/// must not lock, allocate, or block; in practice it fwrites a
+/// pre-rendered buffer. A plain function pointer (not
 /// std::function) because util cannot depend on obs and the call site must
 /// stay allocation-free. Registration is accepted even when
 /// RELCOMP_LOCK_RANK_CHECKS is off (the hook just never fires).

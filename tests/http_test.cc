@@ -5,9 +5,9 @@
 // defaults, and response serialization for GET vs HEAD.
 //
 // Endpoint layer: routing driven through HttpEndpoint::Handle with no
-// sockets — 404 with the index body, 405 with Allow, health/readiness,
-// unwired surfaces as 503, and the endpoint's self-instrumentation in
-// a real MetricsRegistry.
+// sockets — the index lists exactly the routed paths, 404 with the index
+// body, 405 with Allow, health/readiness, unwired surfaces as 503, and
+// the endpoint's self-instrumentation in a real MetricsRegistry.
 //
 // Server layer: real kernel sockets via net::ConnectTcp — torn writes,
 // pipelining on one connection, oversized heads answered 431.
@@ -17,8 +17,10 @@
 // /traces must be a loadable Chrome trace JSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +200,28 @@ TEST(ObsEndpointTest, UnknownPathIs404WithIndex) {
   EXPECT_EQ(response.code, 404);
   EXPECT_NE(response.body.find("/metrics"), std::string::npos)
       << "a 404 should tell the caller what does exist";
+}
+
+TEST(ObsEndpointTest, IndexListsExactlyTheRoutedPaths) {
+  // No surface is wired: a routed surface answers 503, never 404.
+  obs::HttpEndpoint endpoint(obs::ObsSurfaces{}, nullptr);
+  const HttpResponse index = endpoint.Handle(Get("/"));
+  ASSERT_EQ(index.code, 200);
+  std::vector<std::string> listed;
+  std::istringstream lines(index.body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  /", 0) != 0) continue;
+    listed.push_back(line.substr(2, line.find(' ', 2) - 2));
+  }
+  std::sort(listed.begin(), listed.end());
+  EXPECT_EQ(listed, (std::vector<std::string>{"/", "/healthz", "/metrics",
+                                              "/metrics.json", "/readyz",
+                                              "/report", "/slow", "/traces"}))
+      << index.body;
+  for (const std::string& path : listed) {
+    EXPECT_NE(endpoint.Handle(Get(path)).code, 404) << path;
+  }
+  EXPECT_EQ(endpoint.Handle(Get("/debug/active")).code, 404);
 }
 
 TEST(ObsEndpointTest, NonGetIs405WithAllow) {
@@ -494,7 +518,9 @@ TEST(ObsEndpointServiceTest, ContendedScrapeExposesEveryFamily) {
   // The text dashboards serve too.
   EXPECT_NE(Scrape(port, "/report").find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(Scrape(port, "/slow").find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_NE(Scrape(port, "/debug/active").find("HTTP/1.1 200"),
+  // The active-evaluation table is part of /report; it has no route of
+  // its own.
+  EXPECT_NE(Scrape(port, "/debug/active").find("HTTP/1.1 404"),
             std::string::npos);
 
   service.StopObs();

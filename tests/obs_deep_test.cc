@@ -603,15 +603,14 @@ TEST(ServiceObsDeepTest, WatchdogFlagsStalledEvaluationWithinThreshold) {
       << flagged_note;
   EXPECT_OK(decision.status);  // released: the evaluation completed
 
-  // The stall is also visible in the dashboard, the metrics, and the
-  // flight recorder's annotation stream.
+  // The stall is also visible in the dashboard and the metrics.
   const std::string report = service.ObsReport();
   EXPECT_NE(report.find("watchdog stalls: 1"), std::string::npos) << report;
   const std::string prom = service.DumpMetrics(obs::DumpFormat::kPrometheus);
   EXPECT_NE(prom.find("relcomp_watchdog_stalls_total 1"), std::string::npos);
 }
 
-TEST(ServiceObsDeepTest, ObsReportShowsVitalsAndRecorderSamples) {
+TEST(ServiceObsDeepTest, ObsReportShowsVitals) {
   SlowFixture slow = MakeSlowFixture(/*master_rows=*/3, /*vars=*/2);
   ServiceOptions options = DeepObsOptions();
   options.recorder_interval_ms = 5;
@@ -619,17 +618,9 @@ TEST(ServiceObsDeepTest, ObsReportShowsVitalsAndRecorderSamples) {
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
   service.Decide({handle, slow.Request()});
 
-  // The sampler thread ticks every 5ms; wait (bounded) for a sample.
-  const auto deadline = Clock::now() + std::chrono::seconds(5);
-  std::string report;
-  while (Clock::now() < deadline) {
-    report = service.ObsReport();
-    if (report.find("flight recorder") != std::string::npos) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  const std::string report = service.ObsReport();
   EXPECT_NE(report.find("=== relcomp obs report ==="), std::string::npos);
   EXPECT_NE(report.find("in-flight:"), std::string::npos);
-  EXPECT_NE(report.find("flight recorder"), std::string::npos) << report;
   EXPECT_NE(report.find("tenant " + std::to_string(handle.id)),
             std::string::npos)
       << report;
@@ -649,7 +640,7 @@ TEST(ServiceObsDeepTest, ObsPipelineStress) {
   // RELCOMP_OBS_WATCHDOG_US overrides the stall threshold; the CI stress
   // invocation sets it aggressively low so the watchdog fires against
   // legitimately-running evaluations, exercising the flagging path (and
-  // its slow-log/recorder fan-out) under sanitizers. Spurious flags are
+  // its slow-log fan-out) under sanitizers. Spurious flags are
   // expected in that mode, so the zero-stall assertion only applies to
   // the default, only-a-real-wedge-trips-it threshold.
   const char* watchdog_env = std::getenv("RELCOMP_OBS_WATCHDOG_US");

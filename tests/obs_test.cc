@@ -524,22 +524,31 @@ TEST(CountersGoldenTest, EngineCountersVerbosePrintsEveryField) {
 TEST(QueueMetricsTest, PopRecordsQueueResidency) {
   sched::FairQueue queue(sched::SchedPolicy::kFifo,
                          sched::OverloadPolicy::kBlock);
-  Histogram queue_wait, token_wait;
-  queue.AttachMetrics(&queue_wait, &token_wait);
+  Histogram token_wait;
+  queue.AttachMetrics(&token_wait);
 
+  const auto pushed = std::chrono::steady_clock::now();
   for (int i = 0; i < 3; ++i) {
     sched::Task task;
     task.fn = [](sched::TaskOutcome, std::chrono::microseconds) {};
     ASSERT_TRUE(queue.Push(std::move(task)));
   }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   for (int i = 0; i < 3; ++i) {
     sched::Task task;
     sched::TaskOutcome outcome;
     ASSERT_TRUE(queue.Pop(&task, &outcome));
+    const auto popped = std::chrono::steady_clock::now();
     EXPECT_EQ(outcome, sched::TaskOutcome::kRun);
+    // Every pop stamps its task's residency on the task itself (the
+    // consumer accounts it per tenant): at least the sleep above, at most
+    // the time since the first push.
+    EXPECT_GE(task.wait, std::chrono::milliseconds(2));
+    EXPECT_LE(task.wait,
+              std::chrono::duration_cast<std::chrono::microseconds>(popped -
+                                                                    pushed));
   }
-  // Every pop records its task's residency; nobody blocked on admission.
-  EXPECT_EQ(queue_wait.Snapshot().count, 3u);
+  // Nobody blocked on admission.
   EXPECT_EQ(token_wait.Snapshot().count, 0u);
 }
 
@@ -683,6 +692,43 @@ TEST(ServiceObsTest, TracedBatchTimelineAccountsForLatencyExactly) {
   EXPECT_TRUE(saw_hit_trace);
 }
 
+TEST(ServiceObsTest, RenderSlowLogPrintsTheSearchProfileOfEvaluatedEntries) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(ObsOptions(/*workers=*/0, /*trace_sample=*/1,
+                                         /*slow_log=*/4));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.by_patient;
+  request.cinstance = fx.audited;
+  EXPECT_OK(service.Decide({handle, request}).status);
+  EXPECT_OK(service.Decide({handle, request}).status);
+
+  const auto entries = service.SlowDecisions();
+  ASSERT_EQ(entries.size(), 2u);
+  const std::string text = service.RenderSlowLog();
+  // The one slow-log renderer (the /slow body and the CLI listing) says
+  // which loop an evaluation's time went to: each entry with a profile
+  // gets its `search:` line, and each sampled entry its timeline.
+  size_t profiled = 0;
+  for (const obs::SlowEntry& entry : entries) {
+    ASSERT_NE(entry.trace, nullptr);
+    EXPECT_NE(text.find(entry.trace->ToString()), std::string::npos) << text;
+    if (entry.profile == nullptr) continue;
+    ++profiled;
+    EXPECT_NE(text.find("  search: " + entry.profile->ToString() + "\n"),
+              std::string::npos)
+        << text;
+  }
+  EXPECT_GE(profiled, 1u) << "the first Decide evaluated";
+  size_t search_lines = 0;
+  for (size_t at = text.find("search: "); at != std::string::npos;
+       at = text.find("search: ", at + 1)) {
+    ++search_lines;
+  }
+  EXPECT_EQ(search_lines, profiled) << text;
+}
+
 TEST(ServiceObsTest, DumpMetricsExposesPerTenantLatencyAndOutcomes) {
   AuditFixture fx_a = MakeAuditFixture(0);
   AuditFixture fx_b = MakeAuditFixture(1);
@@ -712,7 +758,20 @@ TEST(ServiceObsTest, DumpMetricsExposesPerTenantLatencyAndOutcomes) {
             std::string::npos) << prom;
   EXPECT_NE(prom.find("relcomp_request_latency_micros_count{tenant=\"2\"} 2"),
             std::string::npos) << prom;
-  EXPECT_NE(prom.find("relcomp_queue_wait_micros"), std::string::npos) << prom;
+  // Queue residency is exported once, per tenant: each tenant's count is
+  // the tasks its shard counted as waited, and no pool-wide family
+  // repeats their sum.
+  for (const SettingHandle handle : {handle_a, handle_b}) {
+    ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+    EXPECT_GT(counters.waited, 0u);
+    EXPECT_NE(prom.find("relcomp_queue_wait_micros_count{tenant=\"" +
+                        std::to_string(handle.id) + "\"} " +
+                        std::to_string(counters.waited) + "\n"),
+              std::string::npos)
+        << prom;
+  }
+  EXPECT_EQ(prom.find("relcomp_sched_queue_wait_micros"), std::string::npos)
+      << prom;
   // Derived outcome partition: four cold evaluations, no hits yet.
   EXPECT_NE(prom.find(
                 "relcomp_decisions_total{outcome=\"miss\",tenant=\"1\"} 2"),

@@ -76,7 +76,7 @@ struct CliOptions {
   std::string trace_dump;     // write a Chrome/Perfetto trace JSON here
   size_t trace_ring = 0;      // retained traces (0 + --trace-dump = 256)
   bool obs_report = false;    // print the ObsReport() dashboard
-  uint64_t recorder_interval_ms = 0;  // flight-recorder cadence (0 = off)
+  uint64_t recorder_interval_ms = 0;  // abort-report cadence (0 = off)
   uint64_t watchdog_stall_us = 0;     // stall threshold (0 = off)
   std::string obs_listen;  // HOST:PORT for the live endpoint ("" = off)
   uint64_t serve_ms = 0;   // keep serving this long after the reports
@@ -399,12 +399,14 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "usage: relcomp_cli <setting.rcp> [queries.rcp ...]\n"
-          "       relcomp_cli --setting a.rcp --setting b.rcp [queries.rcp ...]\n"
+          "       relcomp_cli --setting a.rcp --setting b.rcp "
+          "[queries.rcp ...]\n"
           "  --setting FILE    register FILE as a setting (repeatable;\n"
           "                    identical settings share one shard)\n"
           "  --problem K1,K2   problem kinds (%s)\n"
           "  --workers N       shared worker threads (default 4)\n"
-          "  --cache N         LRU capacity per setting, 0 disables (default 1024)\n"
+          "  --cache N         LRU capacity per setting, 0 disables "
+          "(default 1024)\n"
           "  --repeat K        submit the workload K times (default 1)\n"
           "  --instance NAME   audited instance block (default: db/first)\n"
           "  --minstance NAME  master data block (default: dm/first)\n"
@@ -419,7 +421,8 @@ int main(int argc, char** argv) {
           "  --overload P      over-quota behavior: block (default) | reject\n"
           "  --priority P      request priority: high | normal | low\n"
           "  --deadline-ms N   deadline per submission round; queued requests\n"
-          "                    past it are shed, and RUNNING evaluations abort\n"
+          "                    past it are shed, and RUNNING evaluations "
+          "abort\n"
           "                    at the next cooperative checkpoint\n"
           "  --max-steps N     decider step budget per request (default %llu;\n"
           "                    exhaustion reports kResourceExhausted)\n"
@@ -460,9 +463,10 @@ int main(int argc, char** argv) {
           "  --trace-ring N    retain the last N finished traces for\n"
           "                    --trace-dump (default 256 when dumping)\n"
           "  --obs-report      print the operational dashboard (windowed\n"
-          "                    rates, active evaluations, flight recorder)\n"
-          "  --recorder-interval-ms N  sample system vitals into the\n"
-          "                    flight recorder every N ms (0 = off)\n"
+          "                    rates, tenant queues, active evaluations)\n"
+          "  --recorder-interval-ms N  re-render the abort report (the\n"
+          "                    dashboard a dying process prints) every N ms\n"
+          "                    (0 = only after a watchdog stall flag)\n"
           "  --watchdog-stall-us N  flag evaluations whose checkpoints\n"
           "                    stop heartbeating for N us (0 = off)\n"
           "  --obs-listen HOST:PORT\n"
@@ -676,9 +680,10 @@ int main(int argc, char** argv) {
               cli.stream ? ", streaming delivery" : "");
   std::printf("  prepare      %.3f ms (validation, Adom seed, projections)\n",
               prep_s * 1e3);
-  std::printf("  batch        %zu requests in %.3f ms  (%.0f req/s, %zu workers)\n",
-              total_requests, batch_s * 1e3,
-              batch_s > 0 ? total_requests / batch_s : 0.0, cli.workers);
+  std::printf(
+      "  batch        %zu requests in %.3f ms  (%.0f req/s, %zu workers)\n",
+      total_requests, batch_s * 1e3,
+      batch_s > 0 ? total_requests / batch_s : 0.0, cli.workers);
   // One counters line per distinct shard: files that deduped onto the same
   // handle share one cache and one set of counters, so printing them per
   // file would double-count the shared shard's work.
@@ -724,7 +729,8 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   }
-  std::printf("  counters     %s\n", service.TotalCounters().ToString().c_str());
+  std::printf("  counters     %s\n",
+              service.TotalCounters().ToString().c_str());
   if (cli.cache_budget_bytes != 0 || cli.cache_stats) {
     const EngineCounters total = service.TotalCounters();
     std::printf("  cache budget %zu bytes shared, %llu resident\n",
@@ -740,26 +746,10 @@ int main(int argc, char** argv) {
   }
 
   if (cli.slow_log > 0) {
-    const auto worst = service.SlowDecisions();
-    std::printf("\n=== slow decisions (%zu of %zu kept, slowest first) ===\n",
-                worst.size(), cli.slow_log);
+    std::printf("\n=== slow log (keeps %zu) ===\n%s", cli.slow_log,
+                service.RenderSlowLog().c_str());
     if (cli.trace_sample == 0) {
       std::printf("  (empty: --slow-log needs --trace-sample to feed it)\n");
-    }
-    for (const auto& entry : worst) {
-      std::printf("%llu us  tenant=%s kind=%s%s%s\n",
-                  static_cast<unsigned long long>(entry.micros),
-                  entry.tenant.c_str(), entry.kind.c_str(),
-                  entry.trace_id != 0
-                      ? ("  trace#" + std::to_string(entry.trace_id)).c_str()
-                      : "",
-                  entry.note.empty() ? "" : ("  " + entry.note).c_str());
-      if (entry.profile != nullptr) {
-        std::printf("  search: %s\n", entry.profile->ToString().c_str());
-      }
-      if (entry.trace != nullptr) {
-        std::printf("%s\n", entry.trace->ToString().c_str());
-      }
     }
   }
 
