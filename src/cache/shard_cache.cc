@@ -150,7 +150,7 @@ bool ShardCache::PutInternal(const RequestCacheKey& key, Decision value,
   if (!restore) sketch_.Increment(key_hash);
   const bool overwrite = index_.find(key) != index_.end();
   if (!overwrite) {
-    if (!restore && options_.admission_filter) {
+    if (!restore) {
       // Admission gate, only under LOCAL pressure (a full entry table): a
       // candidate accessed less often than the resident entry it would
       // displace is not worth displacing it for. Byte-budget pressure is
@@ -304,8 +304,7 @@ void ShardCache::PromoteLocked(EntryList::iterator it) {
 
 void ShardCache::EnforceProtectedCapLocked() {
   const size_t cap =
-      static_cast<size_t>(options_.protected_fraction *
-                          static_cast<double>(bytes_));
+      static_cast<size_t>(kProtectedFraction * static_cast<double>(bytes_));
   while (protected_bytes_ > cap && protected_.size() > 1) {
     auto tail = std::prev(protected_.end());
     tail->in_protected = false;

@@ -109,12 +109,6 @@ struct ShardCacheOptions {
   /// Entry-count capacity (the legacy LruCache bound, still enforced);
   /// 0 disables the cache entirely — Put stores nothing, Get always misses.
   size_t max_entries = 0;
-  /// Resident-byte share the protected segment may occupy before its tail
-  /// is demoted back to probation.
-  double protected_fraction = 0.8;
-  /// Frequency-sketch admission under pressure; off = always admit (the
-  /// legacy behavior, and what snapshot restores use).
-  bool admission_filter = true;
 };
 
 class ShardCache {
@@ -128,7 +122,8 @@ class ShardCache {
   /// requires `self` to be the shared_ptr owning this cache (the arbiter
   /// hands it to peer shards as a victim). `budget` must outlive this
   /// cache; the destructor deregisters.
-  void AttachBudget(CacheBudget* budget, const std::shared_ptr<ShardCache>& self,
+  void AttachBudget(CacheBudget* budget,
+                    const std::shared_ptr<ShardCache>& self,
                     size_t floor_bytes) EXCLUDES(mu_);
 
   /// Points cache events at live metric instruments. Call before the cache
@@ -180,6 +175,10 @@ class ShardCache {
     bool in_protected = false;
   };
   using EntryList = std::list<Entry>;
+
+  /// Resident-byte share the protected segment may occupy before its tail
+  /// is demoted back to probation.
+  static constexpr double kProtectedFraction = 0.8;
 
   bool PutInternal(const RequestCacheKey& key, Decision value, bool restore)
       EXCLUDES(mu_);

@@ -38,7 +38,8 @@ inline size_t WeighDomain(const Domain& d) {
 inline size_t WeighRelationSchema(const RelationSchema& schema) {
   size_t bytes = sizeof(RelationSchema) + WeighString(schema.name());
   for (const Attribute& attr : schema.attributes()) {
-    bytes += sizeof(Attribute) + WeighString(attr.name) + WeighDomain(attr.domain);
+    bytes += sizeof(Attribute) + WeighString(attr.name) +
+             WeighDomain(attr.domain);
   }
   return bytes;
 }

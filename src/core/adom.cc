@@ -47,8 +47,7 @@ AdomSeed AdomContext::SeedFor(const PartiallyClosedSetting& setting) {
 
 AdomContext AdomContext::BuildFromSeed(const AdomSeed& seed,
                                        const CInstance& cinstance,
-                                       const Query* query,
-                                       AdomOptions options) {
+                                       const Query* query) {
   AdomContext ctx;
 
   // S: constants of T (plus the query's, per the Thm 4.1 Adom) on top of the
@@ -59,9 +58,9 @@ AdomContext AdomContext::BuildFromSeed(const AdomSeed& seed,
   SortUnique(&base);
   ctx.base_ = base;
 
-  // New: one fresh constant per variable of T and the query, plus the
-  // requested extras, on top of the cached setting budget.
-  size_t num_fresh = cinstance.Vars().size() + options.extra_fresh + seed.fresh;
+  // New: one fresh constant per variable of T and the query, on top of the
+  // cached setting budget.
+  size_t num_fresh = cinstance.Vars().size() + seed.fresh;
   if (query != nullptr) {
     num_fresh += static_cast<size_t>(query->MaxVarId() + 1);
   }

@@ -12,13 +12,6 @@
 
 namespace relcomp {
 
-/// Options for Adom construction.
-struct AdomOptions {
-  /// Extra fresh constants beyond the per-variable ones (e.g. for the
-  /// fresh-variable row of Lemma 5.2).
-  size_t extra_fresh = 0;
-};
-
 /// The setting-level contribution to every Adom built over one (Dm, V):
 /// the constants of Dm, V and the finite attribute domains, plus the fresh
 /// budget owed to CC variables and the widest relation. Computing this is
@@ -41,7 +34,7 @@ class AdomContext {
   /// setting's cached seed.
   static AdomContext BuildFromSeed(const AdomSeed& seed,
                                    const CInstance& cinstance,
-                                   const Query* query, AdomOptions options = {});
+                                   const Query* query);
 
   /// S ∪ New ∪ df, sorted and unique.
   const std::vector<Value>& values() const { return values_; }

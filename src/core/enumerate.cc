@@ -35,6 +35,7 @@ class DomainCollector {
 
   VarCandidateList Build() const {
     VarCandidateList out;
+    // LINT:waive(checkpoint-coverage, one pass over the collected variables)
     for (int32_t id : all_vars_) {
       auto it = finite_.find(id);
       if (it != finite_.end()) {

@@ -49,18 +49,6 @@ void MixInstance(StableHasher* h, const Instance& instance) {
 
 }  // namespace
 
-uint64_t FingerprintSchema(const DatabaseSchema& schema) {
-  StableHasher h;
-  MixSchema(&h, schema);
-  return h.digest();
-}
-
-uint64_t FingerprintInstance(const Instance& instance) {
-  StableHasher h;
-  MixInstance(&h, instance);
-  return h.digest();
-}
-
 uint64_t FingerprintCInstance(const CInstance& cinstance) {
   // The textual rendering covers rows, variables and conditions; row order
   // within a c-table is load order, which is part of identity here (the

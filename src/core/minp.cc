@@ -16,7 +16,8 @@ Result<bool> MinimalCompleteWorld(const Query& q, const Instance& instance,
       IsCompleteGround(q, instance, prepared, adom, options, stats, nullptr);
   if (!complete.ok()) return complete.status();
   if (!*complete) return false;
-  SearchCheckpoint checkpoint(options, "minimality single-removal sweep", "minp-sweep");
+  SearchCheckpoint checkpoint(options, "minimality single-removal sweep",
+                              "minp-sweep");
   for (const Relation& rel : instance.relations()) {
     for (const Tuple& t : rel.rows()) {
       RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
@@ -92,7 +93,8 @@ Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
         std::to_string(positions.size()) + " is too many");
   }
   uint64_t combos = uint64_t{1} << positions.size();
-  SearchCheckpoint checkpoint(options, "weak-model minimality enumeration", "minp-weak");
+  SearchCheckpoint checkpoint(options, "weak-model minimality enumeration",
+                              "minp-weak");
   // Skip the empty removal (∆ = ∅); every other subset is removed.
   for (uint64_t mask = 1; mask < combos; ++mask) {
     RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());

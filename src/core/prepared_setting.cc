@@ -86,9 +86,8 @@ Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
 }
 
 AdomContext PreparedSetting::BuildAdomForGround(const Instance& instance,
-                                                const Query* query,
-                                                AdomOptions options) const {
-  return BuildAdom(CInstance::FromInstance(instance), query, options);
+                                                const Query* query) const {
+  return BuildAdom(CInstance::FromInstance(instance), query);
 }
 
 }  // namespace relcomp

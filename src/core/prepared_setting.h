@@ -75,12 +75,11 @@ class PreparedSetting {
   Result<bool> SatisfiesCCs(const Instance& instance) const;
 
   /// Adom builds reusing the cached seed.
-  AdomContext BuildAdom(const CInstance& cinstance, const Query* query,
-                        AdomOptions options = {}) const {
-    return AdomContext::BuildFromSeed(adom_seed(), cinstance, query, options);
+  AdomContext BuildAdom(const CInstance& cinstance, const Query* query) const {
+    return AdomContext::BuildFromSeed(adom_seed(), cinstance, query);
   }
-  AdomContext BuildAdomForGround(const Instance& instance, const Query* query,
-                                 AdomOptions options = {}) const;
+  AdomContext BuildAdomForGround(const Instance& instance,
+                                 const Query* query) const;
 
  private:
   struct Artifacts {

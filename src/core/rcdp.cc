@@ -103,7 +103,8 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
   // extensions of all worlds (sufficient by monotonicity).
   bool any_extension = false;
   Relation extension_certain;
-  SearchCheckpoint checkpoint(options, "weak-model extension enumeration", "weak-ext");
+  SearchCheckpoint checkpoint(options, "weak-model extension enumeration",
+                              "weak-ext");
 
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Valuation mu;

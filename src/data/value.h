@@ -25,10 +25,6 @@ class Value {
   static Value Sym(std::string_view name) {
     return Value(Kind::kSym, static_cast<int64_t>(InternSymbol(name)));
   }
-  /// A symbolic constant from an already-interned id.
-  static Value SymId(SymbolId id) {
-    return Value(Kind::kSym, static_cast<int64_t>(id));
-  }
 
   bool is_int() const { return kind_ == Kind::kInt; }
   bool is_sym() const { return kind_ == Kind::kSym; }

@@ -49,7 +49,8 @@ Cnf3 RandomCnf3(int num_vars, int num_clauses, uint64_t seed) {
   for (int i = 0; i < num_clauses; ++i) {
     Clause3 clause;
     for (int j = 0; j < 3; ++j) {
-      clause[j].var = static_cast<int>(next() % static_cast<uint64_t>(num_vars));
+      clause[j].var =
+          static_cast<int>(next() % static_cast<uint64_t>(num_vars));
       clause[j].neg = (next() & 1) != 0;
     }
     cnf.clauses.push_back(clause);

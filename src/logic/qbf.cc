@@ -22,12 +22,6 @@ bool EvalBlocks(const Qbf& qbf, size_t block_index, int first_var,
 
 }  // namespace
 
-int Qbf::TotalVars() const {
-  int n = 0;
-  for (const QuantifierBlock& b : blocks) n += b.size;
-  return n;
-}
-
 bool Qbf::Eval() const { return EvalBlocks(*this, 0, 0, 0); }
 
 Qbf MakeForallExists(int nx, int ny, Cnf3 matrix) {

@@ -48,8 +48,8 @@ struct MetricFamily {
     "scheduler queue residency of this tenant's tasks, microseconds")        \
   X(SchedTokenWaitMicros, "relcomp_sched_token_wait_micros", kHistogram,     \
     "",                                                                      \
-    "time producers spent blocked on admission (quota / rate limit) "        \
-    "before a task was admitted, microseconds")                              \
+    "time producers spent blocked on a full in-queue quota before a task "   \
+    "was admitted, microseconds")                                            \
   X(RequestsTotal, "relcomp_requests_total", kCounter, "tenant,kind",        \
     "requests submitted, by problem kind")                                   \
   X(PriorityRequestsTotal, "relcomp_priority_requests_total", kCounter,      \

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace relcomp {
@@ -115,12 +116,31 @@ std::string Trace::ToString() const {
   } else {
     out << " (running)";
   }
-  for (const TraceSpan& span : spans_) {
-    out << "\n  [" << span.start_micros << ".." << span.end_micros << "us] "
-        << span.name;
-    if (!span.note.empty()) out << " (" << span.note << ")";
+  // Spans are stored in the order they closed, so a phase lands after
+  // the marks inside it. Print by start time instead, the enclosing
+  // (longer) span first on ties; the open phase has no end yet.
+  std::vector<const TraceSpan*> order;
+  order.reserve(spans_.size());
+  for (const TraceSpan& span : spans_) order.push_back(&span);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const TraceSpan* a, const TraceSpan* b) {
+                     if (a->start_micros != b->start_micros) {
+                       return a->start_micros < b->start_micros;
+                     }
+                     return a->end_micros > b->end_micros;
+                   });
+  bool open_printed = !open_phase_;
+  for (const TraceSpan* span : order) {
+    if (!open_printed && span->start_micros >= phase_start_micros_) {
+      out << "\n  [" << phase_start_micros_ << "..us] " << phase_name_
+          << " (open)";
+      open_printed = true;
+    }
+    out << "\n  [" << span->start_micros << ".." << span->end_micros << "us] "
+        << span->name;
+    if (!span->note.empty()) out << " (" << span->note << ")";
   }
-  if (open_phase_) {
+  if (!open_printed) {
     out << "\n  [" << phase_start_micros_ << "..us] " << phase_name_
         << " (open)";
   }

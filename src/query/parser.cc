@@ -537,7 +537,8 @@ class Parser {
         (Cur().text == "exists" || Cur().text == "forall")) {
       bool exists = Next().text == "exists";
       std::vector<VarId> bound;
-      while (Cur().kind == Tok::kIdent && tokens_[pos_ + 1].kind != Tok::kLParen) {
+      while (Cur().kind == Tok::kIdent &&
+             tokens_[pos_ + 1].kind != Tok::kLParen) {
         Result<CTerm> t = ParseTerm(vars, next_var);
         if (!t.ok()) return t.status();
         bound.push_back(std::get<VarId>(*t));

@@ -77,12 +77,4 @@ std::string FormatCTable(const CTable& table) {
   return FormatGrid(table.schema().name(), header, rows);
 }
 
-std::string FormatCInstance(const CInstance& cinstance) {
-  std::string out;
-  for (const CTable& table : cinstance.tables()) {
-    out += FormatCTable(table) + "\n";
-  }
-  return out;
-}
-
 }  // namespace relcomp

@@ -19,9 +19,6 @@ std::string FormatInstance(const Instance& instance);
 /// Renders a c-table with its conditions column (like Fig. 1 of the paper).
 std::string FormatCTable(const CTable& table);
 
-/// Renders every c-table of a c-instance.
-std::string FormatCInstance(const CInstance& cinstance);
-
 }  // namespace relcomp
 
 #endif  // RELCOMP_QUERY_PRINTER_H_

@@ -40,7 +40,9 @@ RelAtom RAtom(const std::vector<std::pair<int, CTerm>>& pinned,
   atom.rel = "R";
   atom.args.resize(31);
   for (int i = 0; i < 31; ++i) atom.args[i] = VarId{(*next_var)++};
-  for (const auto& [pos, term] : pinned) atom.args[static_cast<size_t>(pos)] = term;
+  for (const auto& [pos, term] : pinned) {
+    atom.args[static_cast<size_t>(pos)] = term;
+  }
   return atom;
 }
 
@@ -79,7 +81,9 @@ GadgetProblem BuildSuccinctTautGadget(const Circuit& circuit) {
         RelationSchema("R01m", {Attribute{"x", Domain::Boolean()}}));
     out.setting.dm = Instance(out.setting.master_schema);
     Tuple core;
-    for (int i = 0; i < 30; ++i) core.push_back(Value::Int(cols[static_cast<size_t>(i)]));
+    for (int i = 0; i < 30; ++i) {
+      core.push_back(Value::Int(cols[static_cast<size_t>(i)]));
+    }
     out.setting.dm.AddTuple("Rcore", std::move(core));
     out.setting.dm.AddTuple("R01m", {Value::Int(0)});
     out.setting.dm.AddTuple("R01m", {Value::Int(1)});
@@ -113,7 +117,9 @@ GadgetProblem BuildSuccinctTautGadget(const Circuit& circuit) {
   {
     Tuple t;
     t.push_back(Value::Int(1));
-    for (int i = 0; i < 30; ++i) t.push_back(Value::Int(cols[static_cast<size_t>(i)]));
+    for (int i = 0; i < 30; ++i) {
+      t.push_back(Value::Int(cols[static_cast<size_t>(i)]));
+    }
     out.ground.AddTuple("R", std::move(t));
   }
 

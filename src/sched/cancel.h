@@ -131,7 +131,8 @@ class CancelGroup {
  private:
   struct GroupState : CancelToken::State {
     mutable Mutex mu{LockRank::kCancelGroup, "CancelGroup::mu"};
-    bool pinned GUARDED_BY(mu) = false;  ///< an uncancellable participant joined
+    /// An uncancellable participant joined.
+    bool pinned GUARDED_BY(mu) = false;
     std::vector<CancelToken> members GUARDED_BY(mu);
 
     bool cancelled() const override {

@@ -18,9 +18,9 @@
 namespace relcomp {
 namespace sched {
 
-/// Monotonic clock used for deadlines, token buckets, and wait-time
-/// accounting. A wall clock would travel backwards under NTP slew and
-/// resurrect expired requests.
+/// Monotonic clock used for deadlines and wait-time accounting. A wall
+/// clock would travel backwards under NTP slew and resurrect expired
+/// requests.
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
@@ -37,7 +37,7 @@ inline TimePoint DeadlineAfterMs(uint64_t ms) {
 enum class SchedPolicy {
   /// Strict global arrival order (the legacy service behavior). Priority
   /// classes still separate urgent from background work, but tenants share
-  /// one lane: an expensive tenant's burst delays everyone behind it.
+  /// one lane: an expensive tenant's backlog delays everyone behind it.
   kFifo,
   /// Stride scheduling across tenants: each tenant advances a virtual-time
   /// "pass" by kStrideScale / weight per dispatched task, and the queue
@@ -48,11 +48,10 @@ enum class SchedPolicy {
 };
 
 /// The explicit overload decision: what Push does when a tenant's in-queue
-/// quota or token-bucket rate is exhausted.
+/// quota is exhausted.
 enum class OverloadPolicy {
   /// Block the submitting thread until the tenant has room again —
-  /// backpressure propagates to the producer (streaming submission relies
-  /// on this to bound memory).
+  /// backpressure propagates to the producer.
   kBlock,
   /// Refuse admission: Push fails and the service reports the request as
   /// rejected (a Decision with StatusCode::kUnavailable), never losing it
@@ -81,10 +80,6 @@ struct TenantOptions {
   /// Bounded in-queue quota: at most this many tasks of the tenant queued
   /// at once. 0 = unbounded. Excess triggers the OverloadPolicy.
   size_t max_queue = 0;
-  /// Token-bucket admission rate in tasks/second; 0 = unlimited.
-  double rate_per_sec = 0.0;
-  /// Token-bucket burst capacity; 0 = max(1, rate_per_sec).
-  double burst = 0.0;
 };
 
 /// Per-submission scheduling parameters, carried by a ServiceRequest.

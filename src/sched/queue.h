@@ -8,9 +8,9 @@
 //                 queueing behind — an expensive tenant's backlog);
 //   priorities  — three classes per tenant; urgent work overtakes
 //                 background work of the same tenant;
-//   admission   — per-tenant bounded in-queue quota and token-bucket rate
-//                 limit, with an explicit overload decision (block the
-//                 producer vs. reject the push);
+//   admission   — per-tenant bounded in-queue quota, with an explicit
+//                 overload decision (block the producer vs. reject the
+//                 push);
 //   deadlines   — best-effort: a task whose deadline passed while queued is
 //                 handed back with TaskOutcome::kExpired so the worker can
 //                 shed it without evaluation.
@@ -49,7 +49,7 @@ enum class TaskOutcome {
 /// the time the task sat queued (negative when it never touched the queue —
 /// run inline or rejected at admission).
 struct Task {
-  uint64_t tenant = 0;  ///< 0 = untenanted system work (never limited)
+  uint64_t tenant = 0;
   Priority priority = Priority::kNormal;
   TimePoint deadline = kNoDeadline;
   std::function<void(TaskOutcome, std::chrono::microseconds)> fn;
@@ -81,7 +81,7 @@ class FairQueue {
   void ReleaseTenant(uint64_t tenant) EXCLUDES(mu_);
 
   /// Admits a task. Returns false when the task was NOT admitted: the
-  /// tenant is over quota / rate under OverloadPolicy::kReject, or the
+  /// tenant is over quota under OverloadPolicy::kReject, or the
   /// queue shut down (including while blocked under kBlock). The task is
   /// moved-from only on success, so on failure the caller still owns it
   /// and must complete it (typically task.fn(kRejected, kNotQueued)).
@@ -102,12 +102,12 @@ class FairQueue {
 
   /// Points the queue at an externally owned histogram (microsecond
   /// values) recording the time a kBlock producer actually spent blocked
-  /// on the rate limiter/quota before admission (recorded only when
-  /// nonzero, so an uncontended queue stays silent); null detaches it.
+  /// on its tenant's quota before admission (recorded only for producers
+  /// that blocked, so an uncontended queue stays silent); null detaches it.
   /// In-queue residency is not recorded here: Pop stamps it on each
   /// task's `wait`, and the consumer accounts it per tenant. The histogram
   /// must outlive the queue; call before workers start.
-  void AttachMetrics(obs::Histogram* token_wait) EXCLUDES(mu_);
+  void AttachMetrics(obs::Histogram* quota_wait) EXCLUDES(mu_);
 
  private:
   /// Stride scheduling granularity. Pass advances by kStrideScale/weight
@@ -122,17 +122,10 @@ class FairQueue {
     size_t queued = 0;
     bool released = false;
     std::array<std::deque<Task>, kNumPriorities> by_priority;
-    // Token bucket (rate_per_sec > 0 only).
-    double tokens = 0;
-    TimePoint refilled{};
   };
 
   void InitTenant(Tenant& tenant, TenantOptions options) REQUIRES(mu_);
   Tenant& TenantFor(uint64_t id) REQUIRES(mu_);
-  /// Refills and tries to take one token; returns the wait until a token
-  /// is available (zero when taken).
-  std::chrono::nanoseconds TakeToken(Tenant& tenant, TimePoint now)
-      REQUIRES(mu_);
   /// Whether `tenant` can admit one more task right now.
   bool HasRoom(const Tenant& tenant) const REQUIRES(mu_);
   void GcTenant(uint64_t id) REQUIRES(mu_);
@@ -159,7 +152,7 @@ class FairQueue {
   uint64_t global_pass_ GUARDED_BY(mu_) = 0;
   size_t depth_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
-  obs::Histogram* token_wait_hist_ GUARDED_BY(mu_) = nullptr;  ///< not owned
+  obs::Histogram* quota_wait_hist_ GUARDED_BY(mu_) = nullptr;  ///< not owned
 };
 
 }  // namespace sched

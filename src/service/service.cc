@@ -134,8 +134,7 @@ CompletenessService::CompletenessService(ServiceOptions options)
                               options.cache_budget_bytes)
                         : nullptr),
       queue_(options.policy, options.overload,
-             sched::TenantOptions{/*weight=*/1, options.default_max_queue,
-                                  /*rate_per_sec=*/0.0, /*burst=*/0.0}) {
+             sched::TenantOptions{/*weight=*/1, options.default_max_queue}) {
   tracer_.Configure(options_.trace_sample);
   slow_log_.Configure(options_.slow_log);
   trace_sink_.Configure(options_.trace_ring);
@@ -250,10 +249,8 @@ Result<SettingHandle> CompletenessService::RegisterSetting(
   InitShardMetrics(*shard, id);
   shards_.emplace(id, std::move(shard));
   handle_by_fingerprint_.emplace(key, id);
-  queue_.RegisterTenant(id, sched::TenantOptions{resolved.weight,
-                                                 resolved.max_queue,
-                                                 resolved.rate_per_sec,
-                                                 resolved.burst});
+  queue_.RegisterTenant(
+      id, sched::TenantOptions{resolved.weight, resolved.max_queue});
   return SettingHandle{id};
 }
 
@@ -485,7 +482,7 @@ void CompletenessService::ExtendRunDeadline(FlightGroup& group,
 CompletenessService::Admission CompletenessService::Admit(
     Shard& shard, const DecisionRequest& request,
     const sched::SchedParams& sched, sched::TimePoint submit,
-    std::function<void(Decision, bool)> deliver, bool claim,
+    std::function<void(Decision)> deliver, bool claim,
     RequestCacheKey* key, std::shared_ptr<FlightGroup>* group) {
   const size_t kind = static_cast<size_t>(request.kind);
   if (kind < shard.metrics.by_kind.size() &&
@@ -568,7 +565,7 @@ CompletenessService::Admission CompletenessService::Admit(
     }
   }
   DeliverMember(shard, member, std::move(served),
-                ProblemKindName(request.kind), /*sole=*/false);
+                ProblemKindName(request.kind));
   return Admission::kServed;
 }
 
@@ -578,10 +575,6 @@ void CompletenessService::EvaluateForGroup(
   // Written under the shard mutex by the claim on this thread.
   const std::shared_ptr<obs::Trace>& trace = group->run_trace;
   SearchOptions effective = request.options;
-  if (shard.options.max_steps != 0 &&
-      effective.max_steps == SearchOptions::kDefaultMaxSteps) {
-    effective.max_steps = shard.options.max_steps;
-  }
   // The joint interest token and the extendable run deadline: checkpoints
   // abort this run only once EVERY member — including ones that join
   // mid-run — has cancelled, and only past the LATEST deadline among them.
@@ -656,22 +649,19 @@ CompletenessService::RetireGroupLocked(Shard& shard, const RequestCacheKey& key,
 
 void CompletenessService::DeliverMember(Shard& shard,
                                         FlightGroup::Member& member,
-                                        Decision decision, const char* kind,
-                                        bool sole) {
+                                        Decision decision, const char* kind) {
   FinishRequest(&shard, member.trace, member.submit, &decision, kind);
-  member.deliver(std::move(decision), sole);
+  member.deliver(std::move(decision));
 }
 
 void CompletenessService::DeliverMembers(Shard& shard,
                                          std::vector<Delivery> deliveries,
                                          const char* kind, bool shed) {
-  const bool sole = deliveries.size() == 1;
   for (Delivery& delivery : deliveries) {
     if (shed && delivery.member.trace != nullptr) {
       delivery.member.trace->Phase("shed");
     }
-    DeliverMember(shard, delivery.member, std::move(delivery.decision), kind,
-                  sole);
+    DeliverMember(shard, delivery.member, std::move(delivery.decision), kind);
   }
 }
 
@@ -746,7 +736,7 @@ Decision CompletenessService::Decide(const ServiceRequest& request) {
   std::shared_ptr<FlightGroup> group;
   const Admission admission = Admit(
       *shard, request.request, request.sched, submit,
-      [promise](Decision d, bool) { promise->set_value(std::move(d)); },
+      [promise](Decision d) { promise->set_value(std::move(d)); },
       /*claim=*/true, &key, &group);
   if (admission == Admission::kClaimed) {
     EvaluateForGroup(*shard, request.request, key, group);
@@ -771,10 +761,7 @@ void CompletenessService::SubmitAsync(
   std::shared_ptr<FlightGroup> group;
   const bool inline_mode = workers_.empty() || tls_on_worker_thread;
   switch (Admit(*shard, request.request, request.sched, submit,
-                [on_complete = std::move(on_complete)](Decision d, bool) {
-                  on_complete(std::move(d));
-                },
-                inline_mode, &key, &group)) {
+                std::move(on_complete), inline_mode, &key, &group)) {
     case Admission::kClaimed:
       EvaluateForGroup(*shard, request.request, key, group);
       break;
@@ -819,38 +806,9 @@ void CompletenessService::SubmitSlots(
     }
   }
 
-  // Publishing from the submitting thread (inline mode — including the
-  // re-entrant on-a-worker case, where this thread is also the eventual
-  // consumer — admission-time deliveries, refused pushes) must never block
-  // on the stream bound: the consumer has not started draining yet. Nor
-  // may a slot that shares its group with other members: they would wait
-  // behind it, and one of them may be the consumer itself (a Decide or a
-  // future on a key of its own stream). Pool workers delivering a group's
-  // sole member respect the bound — that is the backpressure — UNLESS
-  // admission itself can block: with OverloadPolicy::kBlock and a
-  // quota/rate-limited tenant in the batch, the submitting thread may park
-  // in Push until workers free queue slots, and a worker parked in Publish
-  // waiting for that same (not yet draining) thread would close a deadlock
-  // cycle. In that configuration delivery falls back to unbounded
-  // buffering; bound batch memory with kReject quotas instead.
-  bool admission_may_block = false;
-  if (options_.overload == sched::OverloadPolicy::kBlock) {
-    for (const std::shared_ptr<Shard>& shard : shards) {
-      if (shard != nullptr && (shard->options.max_queue > 0 ||
-                               shard->options.rate_per_sec > 0)) {
-        admission_may_block = true;
-        break;
-      }
-    }
-  }
-  const bool bypass_bound = inline_mode || admission_may_block;
   auto remaining = std::make_shared<std::atomic<size_t>>(requests.size());
-  auto publish = [stream, bypass_bound, remaining](size_t index,
-                                                   Decision decision,
-                                                   bool sole) {
-    stream->Publish(
-        StreamedDecision{index, std::move(decision)},
-        /*ignore_bound=*/bypass_bound || !sole || !tls_on_worker_thread);
+  auto publish = [stream, remaining](size_t index, Decision decision) {
+    stream->Publish(StreamedDecision{index, std::move(decision)});
     if (remaining->fetch_sub(1) == 1) stream->Finish();
   };
 
@@ -873,13 +831,13 @@ void CompletenessService::SubmitSlots(
       Decision unknown = UnknownHandleDecision(request.setting);
       FinishRequest(nullptr, nullptr, submit, &unknown,
                     ProblemKindName(request.request.kind));
-      publish(i, std::move(unknown), /*sole=*/false);
+      publish(i, std::move(unknown));
       continue;
     }
     Opened slot{i, {}, nullptr, false, request.sched};
     const Admission admission = Admit(
         *shards[i], request.request, request.sched, submit,
-        [publish, i](Decision d, bool sole) { publish(i, std::move(d), sole); },
+        [publish, i](Decision d) { publish(i, std::move(d)); },
         inline_mode, &slot.key, &slot.group);
     if (admission == Admission::kJoined) {
       auto it = parked.find(slot.group.get());
@@ -912,7 +870,7 @@ void CompletenessService::SubmitSlots(
 
 std::vector<Decision> CompletenessService::SubmitBatch(
     const std::vector<ServiceRequest>& requests) {
-  DecisionStream stream(/*capacity=*/0);
+  DecisionStream stream;
   SubmitSlots(requests, &stream, nullptr);
   std::vector<Decision> results(requests.size());
   stream.Drain([&results](StreamedDecision item) {
@@ -923,20 +881,11 @@ std::vector<Decision> CompletenessService::SubmitBatch(
 
 void CompletenessService::SubmitStream(
     const std::vector<ServiceRequest>& requests, DecisionStream* stream) {
-  // This flavor returns before delivery completes, so queued owner tasks
+  // SubmitStream returns before delivery completes, so queued owner tasks
   // must not reference the caller's vector: admit a private copy, pinned by
   // every task until the last one ran.
   auto owned = std::make_shared<const std::vector<ServiceRequest>>(requests);
   SubmitSlots(*owned, stream, owned);
-}
-
-void CompletenessService::SubmitStream(
-    const std::vector<ServiceRequest>& requests, const StreamSink& sink) {
-  DecisionStream stream(/*capacity=*/0);
-  SubmitSlots(requests, &stream, nullptr);
-  stream.Drain([&sink](StreamedDecision item) {
-    sink(item.index, item.decision);
-  });
 }
 
 namespace {

@@ -18,10 +18,10 @@
 //   SubmitAsync  — one admission; the member completes a future or a
 //                  callback, and a new group's owner task is queued;
 //   SubmitBatch /
-//   SubmitStream — N admissions, each member publishing its slot to a
-//                  stream; every slot is admitted before any new group is
-//                  queued, so in-batch duplicates always coalesce (a
-//                  group's task takes their most urgent priority and
+//   SubmitStream — N admissions, each member publishing its slot to an
+//                  unbounded stream; every slot is admitted before any new
+//                  group is queued, so in-batch duplicates always coalesce
+//                  (a group's task takes their most urgent priority and
 //                  latest deadline);
 //   Decide       — one admission plus help-run: the caller evaluates a
 //                  group it opens (or steals a parked one) on its own
@@ -38,12 +38,13 @@
 // ServiceOptions picks the policy (legacy strict FIFO by default, or
 // weighted fair share so a cheap tenant interleaves with an expensive
 // tenant's backlog), the overload decision (block the producer vs. reject
-// with a kUnavailable Decision), and per-tenant quotas; ShardOptions can
-// override weight, quota, rate limit, cache capacity, and the default
-// decider step budget per setting at registration. Requests may carry
-// per-submission sched params: a priority class, a deadline, and a
-// cooperative cancellation token, which either-cancels with the request's
-// own options.cancel. Deadlines and cancellation are ENFORCED: a
+// with a kUnavailable Decision), and per-tenant in-queue quotas;
+// ShardOptions can override weight, quota, cache capacity and cache floor
+// per setting at registration. Requests may carry per-submission sched
+// params: a priority class, a deadline, and a cooperative cancellation
+// token, which either-cancels with the request's own options.cancel. The
+// decider step budget is per request (DecisionRequest::options.max_steps).
+// Deadlines and cancellation are ENFORCED: a
 // still-queued group whose members have all cancelled or expired is shed
 // before evaluation, and a running one is aborted at the next cooperative
 // checkpoint inside the decider's search loops, reporting
@@ -154,15 +155,6 @@ struct ShardOptions {
   /// Bounded in-queue quota; kInherit uses ServiceOptions::default_max_queue,
   /// 0 means unbounded. Exceeding it triggers the overload policy.
   size_t max_queue = kInherit;
-  /// Token-bucket admission rate in requests/second; 0 = unlimited.
-  double rate_per_sec = 0.0;
-  /// Token-bucket burst; 0 = max(1, rate_per_sec).
-  double burst = 0.0;
-  /// Default decider step budget for this shard's evaluations. Requests
-  /// that leave DecisionRequest::options.max_steps at the built-in default
-  /// inherit this value; requests that set their own budget keep it.
-  /// 0 = no shard default (every request keeps its own budget).
-  uint64_t max_steps = 0;
 };
 
 /// Service configuration. Workers are shared across all settings; cache
@@ -181,9 +173,9 @@ struct ServiceOptions {
   /// Queue order across tenants. kFifo is the legacy strict arrival order;
   /// kFairShare applies stride scheduling over shard weights.
   sched::SchedPolicy policy = sched::SchedPolicy::kFifo;
-  /// What admission control does when a tenant is over quota/rate: block
-  /// the submitting thread (backpressure) or reject with a kUnavailable
-  /// Decision. Irrelevant until a quota or rate limit is configured.
+  /// What admission control does when a tenant is over quota: block the
+  /// submitting thread (backpressure) or reject with a kUnavailable
+  /// Decision. Irrelevant until a quota is configured.
   sched::OverloadPolicy overload = sched::OverloadPolicy::kBlock;
   /// Default per-tenant in-queue quota; 0 = unbounded.
   size_t default_max_queue = 0;
@@ -227,19 +219,10 @@ struct StreamedDecision {
   Decision decision;
 };
 
-/// Pull side of the streaming submission path; see Stream<T> for the
-/// backpressure contract. A bounded stream throttles pool workers when
-/// the consumer lags; it is honored only when admission cannot block
-/// (OverloadPolicy::kReject, or no quota/rate-limited tenant in the
-/// batch) — otherwise delivery falls back to unbounded buffering, since
-/// a worker waiting on the consumer while the consumer waits on
-/// admission would deadlock. To bound batch memory under backpressure,
-/// prefer kReject quotas over stream bounds.
+/// The streaming submission path's channel. It is unbounded, so a
+/// delivery never waits on the consumer; to bound a batch's in-flight work,
+/// give its tenants kReject quotas.
 using DecisionStream = sched::Stream<StreamedDecision>;
-
-/// Push side: invoked once per request, serialized, from worker threads
-/// (or the submitting thread when the service runs inline).
-using StreamSink = std::function<void(size_t index, const Decision& decision)>;
 
 class CompletenessService {
  public:
@@ -316,25 +299,16 @@ class CompletenessService {
   void SubmitAsync(ServiceRequest request,
                    std::function<void(Decision)> on_complete);
 
-  /// Streaming submission, pull flavor: the admissions of SubmitBatch, but
-  /// each decision is published to `stream` as it completes (tagged with
-  /// its request index) instead of materializing the whole result vector.
+  /// Streaming submission: the admissions of SubmitBatch, but each
+  /// decision is published to `stream` as it completes (tagged with its
+  /// request index) instead of materializing the whole result vector.
   /// Returns once everything is admitted (the requests are copied, so the
-  /// caller's vector may die immediately); the stream must stay alive and
-  /// be drained until it finishes, after the last delivery. A consumer
-  /// abandoning the stream mid-drain must Close() it (throttled workers
-  /// unblock and drop further deliveries; parked coalesced waiters still
-  /// resolve) and may destroy it only after WaitProducersFinished() — or
-  /// after this service is destroyed, which drains the queue. Decisions
-  /// are identical to what SubmitBatch would have returned for the same
-  /// vector. Thread-safe.
+  /// caller's vector may die immediately); the stream must stay alive
+  /// until it finishes, after the last delivery (or until this service is
+  /// destroyed, which drains the queue). Decisions are identical to what
+  /// SubmitBatch would have returned for the same vector. Thread-safe.
   void SubmitStream(const std::vector<ServiceRequest>& requests,
                     DecisionStream* stream);
-
-  /// Streaming submission, push flavor: blocks until every decision has
-  /// been delivered to `sink` (serialized, completion order). Thread-safe.
-  void SubmitStream(const std::vector<ServiceRequest>& requests,
-                    const StreamSink& sink);
 
   /// Per-shard counters; kNotFound after release. The cache-lifecycle
   /// fields (evictions / admission_rejects / cache_bytes) are overlaid
@@ -445,10 +419,8 @@ class CompletenessService {
       sched::TimePoint deadline = sched::kNoDeadline;
       /// Completes the future, callback, stream slot or Decide caller.
       /// Called outside the shard lock — callbacks may re-enter the
-      /// service. `sole` is true only for the single member of a retired
-      /// group: only then may a delivery wait (on a bounded stream's
-      /// consumer), since no other member is queued behind it.
-      std::function<void(Decision, bool sole)> deliver;
+      /// service.
+      std::function<void(Decision)> deliver;
       sched::TimePoint submit{};
       std::shared_ptr<obs::Trace> trace;  ///< null when not sampled
     };
@@ -569,7 +541,7 @@ class CompletenessService {
   /// this returns. `key` and `group` are set for kParked / kClaimed.
   Admission Admit(Shard& shard, const DecisionRequest& request,
                   const sched::SchedParams& sched, sched::TimePoint submit,
-                  std::function<void(Decision, bool)> deliver, bool claim,
+                  std::function<void(Decision)> deliver, bool claim,
                   RequestCacheKey* key, std::shared_ptr<FlightGroup>* group)
       EXCLUDES(shard.mu);
 
@@ -637,13 +609,12 @@ class CompletenessService {
       REQUIRES(shard.mu);
 
   /// Stamps and delivers one member's decision (FinishRequest, then its
-  /// callback, passed `sole`). Outside the shard mutex.
+  /// callback). Outside the shard mutex.
   void DeliverMember(Shard& shard, FlightGroup::Member& member,
-                     Decision decision, const char* kind, bool sole);
+                     Decision decision, const char* kind);
 
   /// Delivers a retired group's decisions; `shed` marks a group that was
-  /// never evaluated. A member of a group with several members is
-  /// delivered as not `sole`, so no delivery blocks the ones after it.
+  /// never evaluated.
   void DeliverMembers(Shard& shard, std::vector<Delivery> deliveries,
                       const char* kind, bool shed);
 
@@ -665,12 +636,12 @@ class CompletenessService {
                     sched::TaskOutcome outcome,
                     std::chrono::microseconds wait);
 
-  /// The core of SubmitBatch and both SubmitStream flavors: admits every
-  /// slot (each member publishes its slot to `stream`), then runs the
-  /// groups it claimed inline or queues the ones it parked, and finishes
-  /// the stream after the last delivery. `keep_alive` owns `requests` when
-  /// the caller returns before delivery (the pull flavor's private copy);
-  /// null when the caller blocks until the stream finishes.
+  /// The core of SubmitBatch and SubmitStream: admits every slot (each
+  /// member publishes its slot to `stream`), then runs the groups it
+  /// claimed inline or queues the ones it parked, and finishes the stream
+  /// after the last delivery. `keep_alive` owns `requests` when the caller
+  /// returns before delivery (SubmitStream's private copy); null when the
+  /// caller blocks until the stream finishes.
   void SubmitSlots(const std::vector<ServiceRequest>& requests,
                    DecisionStream* stream,
                    std::shared_ptr<const void> keep_alive);

@@ -26,8 +26,4 @@ StableHasher& StableHasher::Mix(uint64_t v) {
   return Mix(bytes, 8);
 }
 
-uint64_t StableHash(std::string_view s) {
-  return StableHasher().Mix(s).digest();
-}
-
 }  // namespace relcomp

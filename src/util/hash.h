@@ -34,9 +34,6 @@ class StableHasher {
   uint64_t state_ = kOffsetBasis;
 };
 
-/// One-shot convenience: stable hash of a string.
-uint64_t StableHash(std::string_view s);
-
 }  // namespace relcomp
 
 #endif  // RELCOMP_UTIL_HASH_H_

@@ -48,10 +48,4 @@ const std::string& SymbolName(SymbolId id) {
   return *name;
 }
 
-size_t InternedSymbolCount() {
-  InternTable& t = Table();
-  MutexLock lock(t.mu);
-  return t.names.size();
-}
-
 }  // namespace relcomp

@@ -19,9 +19,6 @@ SymbolId InternSymbol(std::string_view name);
 /// Returns the string for an id previously returned by InternSymbol.
 const std::string& SymbolName(SymbolId id);
 
-/// Number of symbols interned so far (monotone; used by tests).
-size_t InternedSymbolCount();
-
 }  // namespace relcomp
 
 #endif  // RELCOMP_UTIL_INTERNER_H_

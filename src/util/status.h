@@ -96,8 +96,10 @@ class Status {
 template <typename T>
 class Result {
  public:
-  Result(T value) : value_(std::move(value)) {}          // NOLINT(runtime/explicit)
-  Result(Status status) : status_(std::move(status)) {}  // NOLINT(runtime/explicit)
+  // Implicit on purpose (runtime/explicit): a function returning Result<T>
+  // can `return value;` and `return status;`.
+  Result(T value) : value_(std::move(value)) {}          // NOLINT
+  Result(Status status) : status_(std::move(status)) {}  // NOLINT
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }

@@ -34,9 +34,9 @@ TEST(BoundedTest, NonMonotoneFoLosesAnswer) {
   setting.schema.AddRelation(RelationSchema("R2", {Attribute{"x"}}));
   setting.dm = Instance(setting.master_schema);
   // Q() := forall x (R1(x) -> R2(x)) written as !(exists x (R1(x) & !R2(x))).
-  FoPtr bad = FoFormula::Exists(
-      {V(0)}, FoFormula::And({FoFormula::Atom({"R1", {V(0)}}),
-                              FoFormula::Not(FoFormula::Atom({"R2", {V(0)}}))}));
+  FoPtr r1 = FoFormula::Atom({"R1", {V(0)}});
+  FoPtr not_r2 = FoFormula::Not(FoFormula::Atom({"R2", {V(0)}}));
+  FoPtr bad = FoFormula::Exists({V(0)}, FoFormula::And({r1, not_r2}));
   Query q = Query::Fo(FoQuery({}, FoFormula::Not(bad)));
   ASSERT_EQ(q.language(), QueryLanguage::kFO);
   Instance db(setting.schema);

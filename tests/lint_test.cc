@@ -59,6 +59,15 @@ TEST(CheckpointRule, AcceptsDirectTransitiveAndWaivedPolls) {
   EXPECT_TRUE(RunOn(Fixture("checkpoint_pass")).empty());
 }
 
+TEST(CheckpointRule, MemberInitializersAreNotPollingFunctions) {
+  // A polling constructor's initializers (`steps(start)`) must not make
+  // the member names count as polling; the constructor declared after
+  // `public:` still does.
+  const std::vector<Finding> fs = RunOn(Fixture("checkpoint_initializer"));
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_TRUE(Has(fs, "checkpoint-coverage", "src/core/enumerate.cc", 23));
+}
+
 // -------------------------------------------------------- lockrank rule --
 
 TEST(LockRankRule, FlagsUnregisteredRankNestingAndTableDrift) {

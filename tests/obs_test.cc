@@ -319,6 +319,34 @@ TEST(TraceTest, PhaseTimelineSumsExactlyToTotal) {
   EXPECT_NE(text.find("[0..10us] admit"), std::string::npos) << text;
 }
 
+TEST(TraceTest, ToStringOrdersSpansByStartEnclosingFirst) {
+  Trace trace(8, At(0));
+  trace.Phase("admit", At(0));
+  trace.Phase("evaluate", At(40));
+  trace.Mark("eval:adom", "steps=0", At(40));  // ties the phase's start
+  trace.Mark("eval:worlds", "steps=4096", At(55));
+  // Running: the open phase is listed above the marks inside it.
+  std::string text = trace.ToString();
+  size_t open = text.find("[40..us] evaluate (open)");
+  ASSERT_NE(open, std::string::npos) << text;
+  EXPECT_LT(open, text.find("eval:adom")) << text;
+  EXPECT_LT(text.find("eval:adom"), text.find("eval:worlds")) << text;
+
+  trace.Phase("cache-store", At(90));
+  trace.Finish("YES", At(100));
+  text = trace.ToString();
+  const size_t admit = text.find("[0..40us] admit");
+  const size_t evaluate = text.find("[40..90us] evaluate");
+  const size_t adom = text.find("[40..40us] eval:adom");
+  const size_t worlds = text.find("[55..55us] eval:worlds");
+  const size_t store = text.find("[90..100us] cache-store");
+  ASSERT_NE(store, std::string::npos) << text;
+  EXPECT_LT(admit, evaluate) << text;
+  EXPECT_LT(evaluate, adom) << text;
+  EXPECT_LT(adom, worlds) << text;
+  EXPECT_LT(worlds, store) << text;
+}
+
 TEST(TraceTest, FinishIsIdempotent) {
   Trace trace(1, At(0));
   trace.Phase("admit", At(0));
@@ -564,7 +592,6 @@ TEST(CacheMetricsTest, EventSinkCountsOutcomesAndPublishesGauges) {
 
   cache::ShardCacheOptions options;
   options.max_entries = 2;
-  options.admission_filter = false;  // always admit: force plain eviction
   cache::ShardCache cache(options);
   cache.AttachEvents(sink);
 
@@ -580,7 +607,9 @@ TEST(CacheMetricsTest, EventSinkCountsOutcomesAndPublishesGauges) {
   EXPECT_EQ(sink.resident_entries->value(), 1);
   EXPECT_GT(sink.resident_bytes->value(), 0);
 
-  // Third insert overflows max_entries=2: one eviction, gauges track it.
+  // Third insert overflows max_entries=2. The candidate is seen as often
+  // as its probation victim, so the sketch admits it: one eviction, gauges
+  // track it.
   EXPECT_TRUE(cache.Put(RequestCacheKey{2, 2}, value));
   EXPECT_TRUE(cache.Put(RequestCacheKey{3, 3}, value));
   EXPECT_EQ(sink.evictions->value(), 1u);

@@ -143,7 +143,8 @@ TEST(ParserTest, ErrorsCarryLocation) {
 }
 
 TEST(ParserTest, UnterminatedStringRejected) {
-  Result<ParsedProgram> r = ParseProgram("schema E(a: sym). instance d { E(\"x). }");
+  Result<ParsedProgram> r =
+      ParseProgram("schema E(a: sym). instance d { E(\"x). }");
   EXPECT_FALSE(r.ok());
 }
 

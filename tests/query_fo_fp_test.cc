@@ -34,7 +34,8 @@ TEST(FoEvalTest, ExistentialAtom) {
 
 TEST(FoEvalTest, NegationSinkNodes) {
   // Q(x) := (exists y E(y, x)) & !(exists z E(x, z)): sinks.
-  FoPtr has_in = FoFormula::Exists({V(1)}, FoFormula::Atom({"E", {V(1), V(0)}}));
+  FoPtr has_in =
+      FoFormula::Exists({V(1)}, FoFormula::Atom({"E", {V(1), V(0)}}));
   FoPtr has_out =
       FoFormula::Exists({V(2)}, FoFormula::Atom({"E", {V(0), V(2)}}));
   FoQuery q({V(0)}, FoFormula::And({has_in, FoFormula::Not(has_out)}));

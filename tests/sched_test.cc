@@ -2,8 +2,8 @@
 //
 // FairQueue unit tests pin the deterministic core: strict arrival order
 // under kFifo, stride interleaving proportional to tenant weights under
-// kFairShare (starvation-freedom), priority lanes, quota / rate admission
-// control under both overload policies, and deadline shedding at pop.
+// kFairShare (starvation-freedom), priority lanes, quota admission control
+// under both overload policies, and deadline shedding at pop.
 //
 // Service-level tests drive the scheduler through CompletenessService with
 // a plugged single-worker pool so queue contents are fully controlled:
@@ -174,19 +174,6 @@ TEST(FairQueueTest, QuotaBlocksProducerUntilSpaceFrees) {
   task.fn(outcome, task.wait);
   producer.join();
   EXPECT_TRUE(admitted.load());
-}
-
-TEST(FairQueueTest, RateLimitRejectsBurstBeyondBucket) {
-  sched::FairQueue queue(sched::SchedPolicy::kFifo,
-                         sched::OverloadPolicy::kReject);
-  // 1 request/second, burst 2: two immediate pushes pass, the third fails.
-  queue.RegisterTenant(
-      1, sched::TenantOptions{/*weight=*/1, /*max_queue=*/0,
-                              /*rate_per_sec=*/1.0, /*burst=*/2.0});
-  std::vector<uint64_t> order;
-  EXPECT_TRUE(queue.Push(MakeTask(1, &order)));
-  EXPECT_TRUE(queue.Push(MakeTask(1, &order)));
-  EXPECT_FALSE(queue.Push(MakeTask(1, &order)));
 }
 
 TEST(FairQueueTest, ExpiredDeadlineShedsAtPop) {
@@ -681,7 +668,8 @@ TEST(SchedServiceTest, SubmitStreamMatchesSubmitBatch) {
         // error slots through both paths.
         out->push_back(ServiceRequest{*a, DistinctWorkload(fx_a)[0]});
         out->push_back(ServiceRequest{*a, DistinctWorkload(fx_a)[0]});
-        out->push_back(ServiceRequest{SettingHandle{999}, DistinctWorkload(fx_a)[1]});
+        out->push_back(
+            ServiceRequest{SettingHandle{999}, DistinctWorkload(fx_a)[1]});
       };
 
       CompletenessService batch_service(options);
@@ -689,41 +677,27 @@ TEST(SchedServiceTest, SubmitStreamMatchesSubmitBatch) {
       build_workload(batch_service, &batch_workload);
       std::vector<Decision> batch = batch_service.SubmitBatch(batch_workload);
 
-      // Push flavor.
-      CompletenessService push_service(options);
-      std::vector<ServiceRequest> push_workload;
-      build_workload(push_service, &push_workload);
-      std::vector<Decision> pushed(push_workload.size());
-      std::vector<int> delivered(push_workload.size(), 0);
-      push_service.SubmitStream(push_workload,
-                                [&](size_t index, const Decision& decision) {
-                                  pushed[index] = decision;
-                                  ++delivered[index];
-                                });
-
-      // Pull flavor.
-      CompletenessService pull_service(options);
-      std::vector<ServiceRequest> pull_workload;
-      build_workload(pull_service, &pull_workload);
-      std::vector<Decision> pulled(pull_workload.size());
+      CompletenessService stream_service(options);
+      std::vector<ServiceRequest> stream_workload;
+      build_workload(stream_service, &stream_workload);
+      std::vector<Decision> streamed(stream_workload.size());
+      std::vector<int> delivered(stream_workload.size(), 0);
       DecisionStream stream;
-      pull_service.SubmitStream(pull_workload, &stream);
+      stream_service.SubmitStream(stream_workload, &stream);
       stream.Drain([&](StreamedDecision item) {
-        pulled[item.index] = std::move(item.decision);
+        ASSERT_LT(item.index, streamed.size());
+        streamed[item.index] = std::move(item.decision);
+        ++delivered[item.index];
       });
 
-      ASSERT_EQ(batch.size(), pushed.size());
-      ASSERT_EQ(batch.size(), pulled.size());
+      ASSERT_EQ(batch.size(), streamed.size());
       for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(delivered[i], 1) << "index " << i << " delivered twice";
-        EXPECT_EQ(batch[i].ToString(), pushed[i].ToString())
-            << "push mismatch at " << i << " (workers=" << workers << ")";
-        EXPECT_EQ(batch[i].ToString(), pulled[i].ToString())
-            << "pull mismatch at " << i << " (workers=" << workers << ")";
-        EXPECT_EQ(batch[i].from_cache, pushed[i].from_cache);
-        EXPECT_EQ(batch[i].from_cache, pulled[i].from_cache);
-        EXPECT_EQ(batch[i].status.code(), pushed[i].status.code());
-        EXPECT_EQ(batch[i].status.code(), pulled[i].status.code());
+        EXPECT_EQ(delivered[i], 1)
+            << "index " << i << " delivered " << delivered[i] << " times";
+        EXPECT_EQ(batch[i].ToString(), streamed[i].ToString())
+            << "mismatch at " << i << " (workers=" << workers << ")";
+        EXPECT_EQ(batch[i].from_cache, streamed[i].from_cache);
+        EXPECT_EQ(batch[i].status.code(), streamed[i].status.code());
       }
     }
   }
@@ -773,9 +747,9 @@ TEST(SchedServiceTest, BatchDuplicateKeepsOwnCancellationFate) {
 }
 
 TEST(SchedServiceTest, ReentrantBoundedPullStreamDoesNotDeadlock) {
-  // A completion callback (on the pool's only worker) submits a pull
-  // stream whose bound is smaller than the batch: inline delivery must
-  // ignore the bound — this thread is also the only consumer.
+  // A completion callback (on the pool's only worker) submits a streamed
+  // batch and drains it on the same thread: the nested submission runs
+  // inline, so this thread is both every producer and the only consumer.
   AuditFixture fx = MakeAuditFixture();
   ServiceOptions options;
   options.num_workers = 1;
@@ -792,7 +766,7 @@ TEST(SchedServiceTest, ReentrantBoundedPullStreamDoesNotDeadlock) {
       ServiceRequest{*handle, trigger}, [&](Decision) {
         std::vector<ServiceRequest> nested =
             ForSetting(*handle, DistinctWorkload(fx));
-        DecisionStream stream(/*capacity=*/1);  // smaller than the batch
+        DecisionStream stream;
         service.SubmitStream(nested, &stream);
         size_t count = 0;
         StreamedDecision item;
@@ -802,16 +776,14 @@ TEST(SchedServiceTest, ReentrantBoundedPullStreamDoesNotDeadlock) {
   std::future<size_t> future = streamed.get_future();
   ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
             std::future_status::ready)
-      << "re-entrant bounded stream deadlocked the worker";
+      << "re-entrant streamed batch deadlocked the worker";
   EXPECT_EQ(future.get(), 8u);
 }
 
 TEST(SchedServiceTest, BoundedStreamWithBlockingQuotaStaysLive) {
-  // The deadlock-cycle configuration: a bounded pull stream (workers wait
-  // for the consumer) plus a blocking in-queue quota (the submitting
-  // thread — the eventual consumer — waits for the workers). The service
-  // must detect that admission may block and fall back to unbounded
-  // delivery rather than wedging.
+  // A blocking in-queue quota smaller than the batch: the submitting
+  // thread — the stream's only consumer — waits in admission for the
+  // workers, so the workers' deliveries must never wait for it.
   AuditFixture fx = MakeAuditFixture();
   ServiceOptions options;
   options.num_workers = 2;
@@ -827,7 +799,7 @@ TEST(SchedServiceTest, BoundedStreamWithBlockingQuotaStaysLive) {
   std::future<size_t> done = std::async(std::launch::async, [&] {
     std::vector<ServiceRequest> requests =
         ForSetting(*handle, DistinctWorkload(fx));
-    DecisionStream stream(/*capacity=*/1);
+    DecisionStream stream;
     service.SubmitStream(requests, &stream);  // single-threaded consumer
     size_t count = 0;
     StreamedDecision item;
@@ -836,7 +808,7 @@ TEST(SchedServiceTest, BoundedStreamWithBlockingQuotaStaysLive) {
   });
   ASSERT_EQ(done.wait_for(std::chrono::seconds(60)),
             std::future_status::ready)
-      << "bounded stream + blocking quota deadlocked the submission";
+      << "streamed batch + blocking quota deadlocked the submission";
   EXPECT_EQ(done.get(), 8u);
 }
 
@@ -990,11 +962,11 @@ TEST(SchedServiceTest, LateDeadlinelessJoinerLiftsARunningDeadline) {
   ExpectPartitionHolds(counters);
 }
 
-TEST(SchedServiceTest, JoinerIsNotHeldBehindAFullBoundedStream) {
-  // A bounded stream's slot shares its flight group with a Decide or a
-  // future of the stream's own consumer, made before it drains. The
-  // stream is full, so the slot's publish would wait for that consumer:
-  // the worker must not deliver the other member behind it.
+TEST(SchedServiceTest, JoinerOnAStreamedGroupResolvesBeforeConsumerDrains) {
+  // A streamed slot shares its flight group with a Decide or a future of
+  // the stream's own consumer, made before it drains. The joiner must
+  // resolve while the stream still holds undrained decisions: no delivery
+  // waits on the consumer.
   AuditFixture audit = MakeAuditFixture();
   testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/40,
                                                      /*vars=*/3);
@@ -1021,8 +993,8 @@ TEST(SchedServiceTest, JoinerIsNotHeldBehindAFullBoundedStream) {
     DecisionRequest gated = fx.Request();
     gated.options.progress = &gate;
 
-    DecisionStream stream(/*capacity=*/1);
-    // One worker, FIFO: slot 0 fills the stream before slot 1 runs.
+    DecisionStream stream;
+    // One worker, FIFO: slot 0 is published before slot 1 runs.
     service.SubmitStream({ServiceRequest{fast, first},
                           ServiceRequest{slow, gated}},
                          &stream);
@@ -1044,7 +1016,7 @@ TEST(SchedServiceTest, JoinerIsNotHeldBehindAFullBoundedStream) {
     StreamedDecision item;
     while (stream.Next(&item)) ++streamed;
     ASSERT_EQ(status, std::future_status::ready)
-        << "the joiner waited behind a publish to its own full stream";
+        << "the joiner waited for its own stream's consumer";
     EXPECT_TRUE(joined.get().status.ok());
     EXPECT_EQ(streamed, 2u);
     ASSERT_OK_AND_ASSIGN(counters, service.counters(slow));
@@ -1157,86 +1129,6 @@ TEST(SchedServiceTest, SubmitStreamCancellationStopsProducingPromptly) {
   ExpectPartitionHolds(counters);
 }
 
-TEST(StreamShutdownTest, AbandonedBoundedStreamUnblocksProducers) {
-  // The consumer walks away from a bounded stream mid-drain: producers
-  // blocked on capacity must wake and drop instead of deadlocking.
-  sched::Stream<int> stream(/*capacity=*/1);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 2; ++p) {
-    producers.emplace_back([&stream, p] {
-      for (int i = 0; i < 50; ++i) stream.Publish(p * 100 + i);
-    });
-  }
-  int item = 0;
-  ASSERT_TRUE(stream.Next(&item));  // consume one, then abandon
-  stream.Close();
-  std::future<void> joined = std::async(std::launch::async, [&] {
-    for (std::thread& producer : producers) producer.join();
-  });
-  ASSERT_EQ(joined.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready)
-      << "producers stayed blocked on an abandoned stream";
-  EXPECT_FALSE(stream.Next(&item)) << "closed stream still yields items";
-}
-
-TEST(StreamShutdownTest, PublishRacingCloseNeitherDeadlocksNorDelivers) {
-  for (int round = 0; round < 20; ++round) {
-    sched::Stream<int> stream(/*capacity=*/2);
-    std::thread closer([&stream] { stream.Close(); });
-    std::thread publisher([&stream] {
-      for (int i = 0; i < 16; ++i) stream.Publish(i);
-    });
-    closer.join();
-    publisher.join();
-    int item = 0;
-    EXPECT_FALSE(stream.Next(&item));
-  }
-}
-
-TEST(StreamShutdownTest, AbandonedServiceStreamKeepsPoolAndWaitersLive) {
-  // Abandoning a bounded SubmitStream mid-drain must not wedge the pool:
-  // workers blocked publishing wake on Close, a parked flight-group waiter
-  // coalesced onto a streamed request still resolves, and the service
-  // keeps serving (and shuts down) normally.
-  AuditFixture fx = MakeAuditFixture();
-  auto run = [&fx] {
-    ServiceOptions options;
-    options.num_workers = 2;
-    options.cache_capacity = 0;
-    CompletenessService service(options);
-    Result<SettingHandle> handle = service.RegisterSetting(fx.setting);
-    ASSERT_TRUE(handle.ok());
-
-    std::vector<ServiceRequest> requests =
-        ForSetting(*handle, DistinctWorkload(fx));
-    DecisionStream stream(/*capacity=*/1);
-    service.SubmitStream(requests, &stream);
-    // A waiter that coalesces with one of the streamed requests; it must
-    // resolve even after the stream is abandoned.
-    std::future<Decision> waiter =
-        service.SubmitAsync(ServiceRequest{*handle, requests[7].request});
-
-    StreamedDecision item;
-    ASSERT_TRUE(stream.Next(&item));  // drain one, then walk away
-    stream.Close();
-
-    ASSERT_EQ(waiter.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready)
-        << "flight-group waiter leaked when the stream was abandoned";
-    EXPECT_TRUE(waiter.get().status.ok());
-    // The pool still serves fresh work after the abandoned stream.
-    Decision after = service.Decide(requests[0]);
-    EXPECT_TRUE(after.status.ok()) << after.status.ToString();
-    // An abandoned stream may be destroyed only after the producer side
-    // finished with it (stragglers publish into the void until then).
-    stream.WaitProducersFinished();
-  };  // ~CompletenessService drains; a wedged pool would hang here
-  std::future<void> done = std::async(std::launch::async, run);
-  ASSERT_EQ(done.wait_for(std::chrono::seconds(60)),
-            std::future_status::ready)
-      << "abandoned bounded stream wedged the worker pool";
-}
-
 TEST(SchedServiceTest, StressMixedTrafficKeepsCounterInvariant) {
   // High worker/tenant counts (scaled up further under RELCOMP_SCHED_STRESS):
   // several tenants submit async + batch + stream traffic concurrently with
@@ -1300,9 +1192,10 @@ TEST(SchedServiceTest, StressMixedTrafficKeepsCounterInvariant) {
           case 2: {  // stream
             std::vector<ServiceRequest> requests =
                 ForSetting(handles[t], workload);
+            DecisionStream stream;
+            service.SubmitStream(requests, &stream);
             size_t seen = 0;
-            service.SubmitStream(requests,
-                                 [&seen](size_t, const Decision&) { ++seen; });
+            stream.Drain([&seen](StreamedDecision) { ++seen; });
             EXPECT_EQ(seen, requests.size());
             break;
           }

@@ -504,9 +504,10 @@ TEST(ServiceTest, TotalCountersEqualsPerShardSumAfterMixedTraffic) {
     interleaved.push_back(ServiceRequest{handle_a, workload_a[i]});
     interleaved.push_back(ServiceRequest{handle_b, workload_b[i]});
   }
+  DecisionStream stream;
+  service.SubmitStream(interleaved, &stream);
   size_t streamed = 0;
-  service.SubmitStream(interleaved,
-                       [&streamed](size_t, const Decision&) { ++streamed; });
+  stream.Drain([&streamed](StreamedDecision) { ++streamed; });
   EXPECT_EQ(streamed, interleaved.size());
 
   // A cancelled and an expired request.
@@ -537,17 +538,15 @@ TEST(ServiceTest, TotalCountersEqualsPerShardSumAfterMixedTraffic) {
   EXPECT_EQ(summed.ToString(), service.TotalCounters().ToString());
 }
 
-TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
-  // The budget-plumbing bugfix: SearchOptions::max_steps must be reachable
-  // both per request and as a ShardOptions default — before this PR every
-  // service tenant silently ran with the built-in 50M budget.
+TEST(ServiceTest, MaxStepsReachesDecidersPerRequest) {
+  // The budget-plumbing bugfix: SearchOptions::max_steps must reach the
+  // deciders through the service — before it did, every service tenant
+  // silently ran with the built-in 50M budget.
   // The slow fixture's Mod(T) enumeration has no early exit, so a 1-step
   // budget always exhausts and a few-thousand-step budget always finishes.
   testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/8,
                                                      /*vars=*/3);
   CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
-
-  // Per request: a one-step budget exhausts immediately.
   ASSERT_OK_AND_ASSIGN(plain, service.RegisterSetting(fx.setting));
   DecisionRequest tiny = fx.Request();
   tiny.options.max_steps = 1;
@@ -555,26 +554,6 @@ TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
   EXPECT_EQ(exhausted.status.code(), StatusCode::kResourceExhausted)
       << exhausted.status.ToString();
   EXPECT_TRUE(service.Decide({plain, fx.Request()}).status.ok());
-
-  // Per shard: requests that leave max_steps at the built-in default
-  // inherit the shard's default; an explicit per-request budget wins.
-  // (A second, fingerprint-distinct setting gets its own shard.)
-  testing::SlowFixture fx_b = testing::MakeSlowFixture(/*master_rows=*/9,
-                                                       /*vars=*/3);
-  ShardOptions starved;
-  starved.max_steps = 1;
-  ASSERT_OK_AND_ASSIGN(shard, service.RegisterSetting(fx_b.setting, starved));
-  ASSERT_OK_AND_ASSIGN(resolved, service.shard_options(shard));
-  EXPECT_EQ(resolved.max_steps, 1u);
-  Decision shard_limited = service.Decide({shard, fx_b.Request()});
-  EXPECT_EQ(shard_limited.status.code(), StatusCode::kResourceExhausted)
-      << "ShardOptions::max_steps never reached the decider";
-  DecisionRequest explicit_budget = fx_b.Request();
-  explicit_budget.options.max_steps = 500'000;
-  Decision roomy = service.Decide({shard, explicit_budget});
-  EXPECT_TRUE(roomy.status.ok())
-      << "an explicit per-request budget must override the shard default: "
-      << roomy.status.ToString();
 }
 
 TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {

@@ -53,6 +53,22 @@ void ParseWaivers(const std::string& file, const Token& comment,
   }
 }
 
+bool IsAccessSpecifier(const Token& t) {
+  return t.IsIdent("public") || t.IsIdent("protected") ||
+         t.IsIdent("private");
+}
+
+/// Whether `toks[i]` names a constructor member initializer, as `adom_` in
+/// `: adom_(adom), q_(q) {`: its name follows the initializer list's ':'
+/// or a ','. A ':' after an access specifier (`public: Foo(...) {`) starts
+/// a declaration instead.
+bool IsMemberInitializer(const std::vector<Token>& toks, size_t i) {
+  if (i == 0) return false;
+  const Token& prev = toks[i - 1];
+  if (prev.IsPunct(",")) return true;
+  return prev.IsPunct(":") && !(i >= 2 && IsAccessSpecifier(toks[i - 2]));
+}
+
 bool IsControlKeyword(const std::string& s) {
   return s == "if" || s == "for" || s == "while" || s == "switch" ||
          s == "catch" || s == "return" || s == "do" || s == "sizeof" ||
@@ -91,7 +107,8 @@ std::vector<FunctionDef> FindFunctions(const std::vector<Token>& toks) {
   const size_t n = toks.size();
   for (size_t i = 0; i + 1 < n; ++i) {
     if (toks[i].kind != Token::Kind::kIdent ||
-        IsControlKeyword(toks[i].text) || !toks[i + 1].IsPunct("(")) {
+        IsControlKeyword(toks[i].text) || !toks[i + 1].IsPunct("(") ||
+        IsMemberInitializer(toks, i)) {
       continue;
     }
     const size_t close = MatchForward(toks, i + 1);
